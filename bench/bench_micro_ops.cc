@@ -20,7 +20,6 @@
 #include <benchmark/benchmark.h>
 
 #include "bigint/bigint.h"
-#include "bigint/reduction.h"
 #include "bigint/simd.h"
 #include "core/crt.h"
 #include "core/ordered_prime_scheme.h"
@@ -292,9 +291,10 @@ BENCHMARK(BM_IsAncestorBatchNaive);
 
 /// The divisibility fast-path engine as shipped: fingerprint rejection,
 /// Montgomery constants cached per anchor run, survivors batched through
-/// the multi-dividend REDC sweep. Bit-identical results to every pinned
-/// variant below (reduction_test asserts it); this is the headline
-/// benchmark the check.sh bench-smoke leg guards against regression.
+/// the multi-dividend REDC sweep. Bit-identical results to the naive
+/// baseline above; this is the headline benchmark the check.sh
+/// bench-smoke leg guards, both absolutely and as a ratio to the naive
+/// baseline measured in the same run.
 void BM_IsAncestorBatch(benchmark::State& state) {
   const BatchFixture& f = ShakespeareBatch();
   std::vector<std::uint8_t> results;
@@ -327,49 +327,6 @@ void BM_IsAncestorBatchScalar(benchmark::State& state) {
 }
 BENCHMARK(BM_IsAncestorBatchScalar);
 
-/// The PR-3 (32-bit-limb era) engine, pinned: no Montgomery sweep —
-/// every fingerprint survivor pays a digit-granular truncated-Barrett
-/// reduction against the anchor's cached constants, with the dividend
-/// split into 32-bit digits per call (that generation's storage format)
-/// and no multi-dividend batching. The ratio of this to
-/// BM_IsAncestorBatch is the headline number for the engine-v2
-/// acceptance bar (>= 2x on mixed-depth Shakespeare labels).
-void BM_IsAncestorBatchV1Engine(benchmark::State& state) {
-  const BatchFixture& f = ShakespeareBatch();
-  ReciprocalDivisor::SetEngineForTest(ReciprocalDivisor::Engine::kV1);
-  std::vector<std::uint8_t> results;
-  for (auto _ : state) {
-    results.clear();
-    f.scheme.IsAncestorBatch(f.pairs, &results);
-    benchmark::DoNotOptimize(results.data());
-  }
-  ReciprocalDivisor::SetEngineForTest(ReciprocalDivisor::Engine::kCurrent);
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(f.pairs.size()));
-}
-BENCHMARK(BM_IsAncestorBatchV1Engine);
-
-/// The full PR-2 fast-path engine, faithfully: scalar kernels AND the
-/// reference reduction engine (full-width Barrett products, Knuth/Barrett
-/// trial division instead of the Montgomery divisibility sweep). Kept as
-/// the long-baseline anchor across engine generations.
-void BM_IsAncestorBatchPr2Engine(benchmark::State& state) {
-  const BatchFixture& f = ShakespeareBatch();
-  simd::SetActiveIsa(simd::Isa::kScalar);
-  ReciprocalDivisor::SetEngineForTest(ReciprocalDivisor::Engine::kPr2);
-  std::vector<std::uint8_t> results;
-  for (auto _ : state) {
-    results.clear();
-    f.scheme.IsAncestorBatch(f.pairs, &results);
-    benchmark::DoNotOptimize(results.data());
-  }
-  ReciprocalDivisor::SetEngineForTest(ReciprocalDivisor::Engine::kCurrent);
-  simd::ResetActiveIsa();
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(f.pairs.size()));
-}
-BENCHMARK(BM_IsAncestorBatchPr2Engine);
-
 /// The descendant structural join over the shared fixture at several
 /// worker counts (1 = the sequential executor). Output is identical at
 /// any setting; this measures the fan-out overhead/payoff alone.
@@ -386,15 +343,13 @@ void BM_JoinDescendantsWorkers(benchmark::State& state) {
       static_cast<std::int64_t>(state.iterations()) *
       static_cast<std::int64_t>(f.context.size() * f.candidates.size()));
 }
-BENCHMARK(BM_JoinDescendantsWorkers)->Arg(1)->Arg(2)->Arg(4);
+BENCHMARK(BM_JoinDescendantsWorkers)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
 
-/// Raw limb-product kernel on the BigInt representation (64-bit limbs):
-/// dispatched (digit-view vector kernel when the CPU allows) vs the
-/// portable 128-bit-intermediate scalar reference, on n x n limb
+/// Raw limb-product kernel on the BigInt representation (64-bit limbs,
+/// the portable 128-bit-intermediate schoolbook loop) on n x n limb
 /// operands. This is the inner loop of MulSchoolbook and the Karatsuba
-/// base case. Args are 64-bit limb counts — halve to compare against
-/// pre-v2 digit-count results.
-void BM_MulLimbSpans(benchmark::State& state, bool dispatched) {
+/// base case.
+void BM_MulLimbSpans(benchmark::State& state) {
   const std::size_t limbs = static_cast<std::size_t>(state.range(0));
   Rng rng(11);
   std::vector<std::uint64_t> a(limbs), b(limbs);
@@ -402,18 +357,11 @@ void BM_MulLimbSpans(benchmark::State& state, bool dispatched) {
   for (auto& v : b) v = rng.Next();
   std::vector<std::uint64_t> out;
   for (auto _ : state) {
-    if (dispatched) {
-      simd::MulLimbSpans(a, b, &out);
-    } else {
-      simd::MulLimbSpansPortable(a, b, &out);
-    }
+    simd::MulLimbSpans(a, b, &out);
     benchmark::DoNotOptimize(out.data());
   }
 }
-BENCHMARK_CAPTURE(BM_MulLimbSpans, dispatched, true)
-    ->Arg(4)->Arg(16)->Arg(64);
-BENCHMARK_CAPTURE(BM_MulLimbSpans, portable, false)
-    ->Arg(4)->Arg(16)->Arg(64);
+BENCHMARK(BM_MulLimbSpans)->Arg(4)->Arg(16)->Arg(64);
 
 /// Batched fingerprint chunk residues (all 7 moduli in one sweep) over a
 /// 64-bit limb magnitude, dispatched vs portable. 1024 limbs crosses the
@@ -827,7 +775,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   // Dispatch metadata lands in the JSON "context" block so two result
-  // files can be checked for comparability (same ISA, same crossover,
+  // files can be checked for comparability (same ISA, same REDC gate,
   // same thread budget) before their ratios are trusted.
   namespace simd = primelabel::simd;
   benchmark::AddCustomContext("detected_isa",
@@ -836,16 +784,6 @@ int main(int argc, char** argv) {
   benchmark::AddCustomContext(
       "vector_kernels_compiled_in",
       simd::VectorKernelsCompiledIn() ? "true" : "false");
-  benchmark::AddCustomContext(
-      "barrett_min_limbs",
-      std::to_string(primelabel::ReciprocalDivisor::BarrettMinLimbs()));
-  benchmark::AddCustomContext(
-      "vector_min_limbs_full", std::to_string(simd::VectorMinLimbsFull()));
-  benchmark::AddCustomContext(
-      "vector_min_limbs_partial",
-      std::to_string(simd::VectorMinLimbsPartial()));
-  benchmark::AddCustomContext("vector_min_limbs_64",
-                              std::to_string(simd::VectorMinLimbs64()));
   benchmark::AddCustomContext("redc_batch_min_limbs",
                               std::to_string(simd::RedcBatchMinLimbs()));
   benchmark::AddCustomContext(

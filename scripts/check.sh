@@ -204,6 +204,16 @@ if [[ "$run_bench" == "1" ]]; then
   python3 scripts/check_bench_json.py --regress \
     build/bench/BENCH_micro_ops.json BENCH_micro_ops.json \
     --benchmark BM_XPathPlannedVsWalked/planned --tolerance 15
+  # Host-independent gates: each layer must beat the simplest thing that
+  # could replace it, measured in the same run — the divisibility engine
+  # against per-pair IsDivisibleBy, the compiled planner against the
+  # walking evaluator.
+  python3 scripts/check_bench_json.py --ratio \
+    BM_IsAncestorBatch BM_IsAncestorBatchNaive \
+    build/bench/BENCH_micro_ops.json --min 1.0
+  python3 scripts/check_bench_json.py --ratio \
+    BM_XPathPlannedVsWalked/planned BM_XPathPlannedVsWalked/walked \
+    build/bench/BENCH_micro_ops.json --min 1.0
 fi
 
 if [[ "$run_scalar" == "1" ]]; then

@@ -26,6 +26,12 @@ Usage:
       than PCT below the baseline — use a generous tolerance there:
       end-to-end service throughput on a shared machine is far noisier
       than the pinned microbenchmark medians.
+  check_bench_json.py --ratio NUM DEN FILE [--min R]
+      Same-run ratio gate for google-benchmark files: NUM's
+      items_per_second divided by DEN's, both read from FILE, must be at
+      least R (default 1.0). Both sides come from one process on one
+      host, so the ratio holds across machines where absolute floors
+      do not.
 """
 
 import argparse
@@ -40,10 +46,6 @@ DISPATCH_KEYS = [
     "detected_isa",
     "active_isa",
     "vector_kernels_compiled_in",
-    "barrett_min_limbs",
-    "vector_min_limbs_full",
-    "vector_min_limbs_partial",
-    "vector_min_limbs_64",
     "redc_batch_min_limbs",
     "hardware_threads",
     # Peak resident set size (VmHWM, kB) of the emitting run: report.h
@@ -138,6 +140,16 @@ def check_regress(current, baseline, name, tolerance):
         )
 
 
+def check_ratio(path, num, den, minimum):
+    """NUM / DEN items_per_second within one file must be >= minimum."""
+    ratio = rate_of(path, num) / rate_of(path, den)
+    verdict = "ok" if ratio >= minimum else "BELOW FLOOR"
+    print(f"check_bench_json: {num} / {den}: {ratio:.3f}x "
+          f"(floor {minimum:.2f}x): {verdict}")
+    if ratio < minimum:
+        fail(f"{path}: {num} / {den} = {ratio:.3f}x < {minimum:.2f}x")
+
+
 def report_rows(path, metric):
     """{(report title, first cell): metric value} for a report.h file."""
     data = load(path)
@@ -192,7 +204,9 @@ def main():
     mode = parser.add_mutually_exclusive_group(required=True)
     mode.add_argument("--schema", action="store_true")
     mode.add_argument("--regress", action="store_true")
+    mode.add_argument("--ratio", nargs=2, metavar=("NUM", "DEN"))
     parser.add_argument("files", nargs="+")
+    parser.add_argument("--min", type=float, default=1.0)
     parser.add_argument("--benchmark", default="BM_IsAncestorBatch")
     parser.add_argument("--metric", default="throughput qps")
     parser.add_argument("--tolerance", type=float, default=10.0)
@@ -200,6 +214,10 @@ def main():
     if args.schema:
         for path in args.files:
             check_schema(path)
+    elif args.ratio:
+        if len(args.files) != 1:
+            fail("--ratio takes exactly one FILE")
+        check_ratio(args.files[0], args.ratio[0], args.ratio[1], args.min)
     else:
         if len(args.files) != 2:
             fail("--regress takes exactly CURRENT and BASELINE")

@@ -2,11 +2,14 @@
 #define PRIMELABEL_BIGINT_REDUCTION_H_
 
 #include <array>
+#include <bit>
+#include <cassert>
 #include <cstdint>
 #include <span>
 #include <vector>
 
 #include "bigint/bigint.h"
+#include "bigint/recip.h"
 
 namespace primelabel {
 
@@ -21,12 +24,12 @@ namespace primelabel {
 //   trailing-zero count. A witness in any slot rejects a candidate pair
 //   with zero BigInt work; pairs that pass fall through to an exact test.
 //
-//   Layer 2 — reciprocal-cached reduction (Reciprocal64 /
+//   Layer 2 — reciprocal-cached divisibility (Reciprocal64 /
 //   ReciprocalDivisor): when one divisor is tested against many dividends,
-//   the normalization and the reciprocal of the divisor are computed once,
-//   so each remaining test is multiply-high + subtract (Möller–Granlund
-//   2-by-1 division for word-sized divisors, Barrett reduction for
-//   multi-limb ones) instead of a full Knuth division.
+//   its constants are computed once, so each remaining test is one
+//   streaming pass with no quotient estimates — a Möller–Granlund 2-by-1
+//   remainder for word-sized divisors, a 64-bit Montgomery (REDC) sweep
+//   for multi-limb ones.
 //
 //   Layer 3 — subproduct/remainder trees (SubproductTree): `y mod m_i`
 //   for all moduli of a group in near-linear time, and the matching
@@ -167,7 +170,7 @@ inline bool FingerprintMayProperlyDivide(const LabelFingerprint& divisor,
          divisor.trailing_zeros <= dividend.trailing_zeros;
 }
 
-// --- Layer 2: reciprocal-cached reduction ----------------------------------
+// --- Layer 2: reciprocal-cached divisibility ------------------------------
 
 /// Non-owning magnitude: little-endian 64-bit limbs, minimal (no trailing
 /// zero limbs), empty for zero — exactly BigInt::Magnitude()'s shape. The
@@ -187,8 +190,15 @@ int TrailingZeroBitsOf(LimbSpan magnitude);
 /// ancestors, the fast CRT's per-modulus arithmetic).
 class Reciprocal64 {
  public:
-  /// `divisor` must be nonzero.
-  explicit Reciprocal64(std::uint64_t divisor);
+  /// `divisor` must be nonzero. Inline so a constant divisor folds: a
+  /// default ReciprocalDivisor holds one, built once per batch call.
+  explicit Reciprocal64(std::uint64_t divisor)
+      : divisor_(divisor),
+        normalized_(divisor << std::countl_zero(divisor)),
+        reciprocal_(recip::Reciprocal2by1(normalized_)),
+        shift_(std::countl_zero(divisor)) {
+    assert(divisor != 0);
+  }
 
   std::uint64_t divisor() const { return divisor_; }
 
@@ -209,174 +219,61 @@ class Reciprocal64 {
 };
 
 /// A divisor cached for repeated exact-divisibility tests. Assign picks
-/// the reduction strategy by divisor size (64-bit limbs) and precomputes
-/// its constants once, so each Divides call avoids the per-call setup of
-/// a cold division:
-///   1 limb                 — Möller–Granlund word reciprocal;
-///   2 .. crossover-1 limbs — Knuth division with a retained scratch
-///                            buffer (at these sizes Barrett's two n x n
-///                            products cost more than the division they
-///                            replace);
-///   >= BarrettMinLimbs()   — Barrett reduction with a cached mu constant.
-/// One instance per batch per thread; the scratch buffers make the object
-/// non-thread-safe by design (same contract as BigInt::DivScratch).
+/// the strategy by divisor width (64-bit limbs) and precomputes its
+/// constants once:
+///   1 limb    — Möller–Granlund word reciprocal (Reciprocal64);
+///   >= 2 limbs — the native 64-bit Montgomery (REDC) sweep: with
+///                d = 2^e * odd, d | y iff 2^e | y (a bit test) and
+///                odd | y, and the latter holds iff the REDC residue
+///                y * B^-m mod odd is zero.
+/// One instance per batch per thread (Assign mutates it; the REDC sweep
+/// runs in the kernel layer's per-thread scratch).
 class ReciprocalDivisor {
  public:
-  /// Limb count (64-bit limbs) at which Assign switches from Knuth to
-  /// Barrett — the strategy behind Mod (and kPr2-engine Divides;
-  /// optimized Divides goes through the Montgomery sweep at every
-  /// multi-limb size). Taken from the PRIMELABEL_BARRETT_MIN_LIMBS
-  /// environment variable when set (clamped to [2, 32]); otherwise
-  /// measured once per process by a tiny startup microbenchmark
-  /// (sub-millisecond, cached in a function-local static so every
-  /// use site shares the one measurement) racing both strategies on this
-  /// machine's actual kernels. Benches log the chosen value into their
-  /// JSON context block. The strategy choice affects speed only — every
-  /// strategy returns bit-identical results.
-  static std::size_t BarrettMinLimbs();
-
   ReciprocalDivisor() = default;
 
   /// Caches `divisor` (> 0). May be called repeatedly to re-point the
   /// cache at a new divisor (the anchor-run pattern of IsAncestorBatch).
-  void Assign(const BigInt& divisor);
-
-  /// Span twin of Assign, for arena-backed anchors: word-sized divisors
-  /// cache straight from the span; multi-limb divisors still materialize
-  /// one owned copy (divisor_big_ feeds the Knuth fallback and the lazy
-  /// Barrett constants) — a per-anchor cost amortized over the run.
+  /// The span overload is the arena path: the constants are built
+  /// straight from the limbs, and trailing zero high limbs are ignored.
+  void Assign(const BigInt& divisor) { Assign(divisor.Magnitude()); }
   void Assign(LimbSpan divisor_magnitude);
 
   bool assigned() const { return limbs_ != 0; }
 
   /// True iff the cached divisor divides |dividend| exactly. Bit-identical
-  /// to BigInt::IsDivisibleBy against the same divisor. Multi-limb
-  /// divisors take a word-by-word Montgomery (REDC) divisibility pass:
-  /// with d = 2^e * d_odd, d | y iff 2^e | y (a bit test) and d_odd | y,
-  /// and the latter holds iff the Montgomery reduction y * B^-m mod d_odd
-  /// is zero — computed in one streaming multiply-accumulate sweep with
-  /// no quotient estimates, chunking, or correction steps.
-  bool Divides(const BigInt& dividend);
-
-  /// Span twin of Divides — the arena query path. Bit-identical to
-  /// Divides(BigInt::FromLimbs(dividend_magnitude)).
+  /// to BigInt::IsDivisibleBy against the same divisor. A one-dividend
+  /// DividesBatch.
+  bool Divides(const BigInt& dividend) {
+    return Divides(dividend.Magnitude());
+  }
   bool Divides(LimbSpan dividend_magnitude);
 
-  /// Batched Divides: out[k] = Divides(*dividends[k]) for up to
+  /// Batched Divides: out[k] = Divides(dividends[k]) for up to
   /// simd::kRedcLanes dividends against the one cached divisor — the
   /// anchor-run surface of IsAncestorBatch/SelectDescendants, where a run
   /// of fingerprint-filter survivors shares its anchor. Dividends that
   /// fail a cheap screen (smaller than the divisor, missing the divisor's
   /// power-of-two factor) are answered inline; the survivors run one
-  /// multi-dividend REDC sweep (simd::RedcDividesBatch), which on AVX2
-  /// interleaves 4 dividends across vector lanes. Bit-identical to
-  /// looping Divides.
+  /// multi-dividend REDC sweep (simd::RedcDividesBatch). Bit-identical to
+  /// looping Divides. The pointer overload forwards to the span one.
   void DividesBatch(std::span<const BigInt* const> dividends, bool* out);
-
-  /// Span twin of DividesBatch: dividends arrive as magnitude spans (the
-  /// arena hands them out without materializing BigInts). Bit-identical
-  /// to the pointer overload on the same values.
   void DividesBatch(std::span<const LimbSpan> dividends, bool* out);
 
-  /// |dividend| mod divisor, as a BigInt — the equivalence-test surface
-  /// (and the remainder consumers of the CRT layer). Always takes the
-  /// Knuth/Barrett strategy path (Montgomery yields divisibility, not the
-  /// plain remainder).
-  BigInt Mod(const BigInt& dividend);
-
-  /// Historical engine generations, selectable for A/B benches and the
-  /// equivalence suites. Every generation returns bit-identical results
-  /// (the optimizations change cost, never outcomes).
-  enum class Engine {
-    /// The optimized engine: native 64-bit Montgomery sweeps, batched
-    /// REDC lanes, short-product Barrett.
-    kCurrent,
-    /// The PR 3-era (32-bit-limb) engine: no Montgomery sweep — Divides
-    /// answers through the digit-granular truncated-Barrett remainder,
-    /// splitting the dividend into 32-bit digits per call (the storage
-    /// format of that generation), single-lane only (DividesBatch
-    /// degrades to a scalar loop).
-    kV1,
-    /// The PR 2-era engine: the same digit-granular remainder but with
-    /// full-width Barrett products (no short-product truncation), and
-    /// Knuth trial division for mid-size divisors.
-    kPr2,
-  };
-
-  /// Test/bench hook: pin the engine generation process-wide. Not
-  /// thread-safe; set only from single-threaded setup code.
-  static void SetEngineForTest(Engine engine);
-
-  /// Back-compat alias for the oldest baseline: `on` pins Engine::kPr2,
-  /// `off` restores Engine::kCurrent.
-  static void SetReferenceEngineForTest(bool on);
-
  private:
-  /// Reduction strategy, chosen at Assign time and stored so every
-  /// Divides/Mod on this divisor takes the same path.
-  enum class Strategy { kWord, kKnuth, kBarrett };
-
-  /// Assign with a forced strategy — the startup microbenchmark races
-  /// kKnuth against kBarrett at the same divisor size through this.
-  void AssignWithStrategy(const BigInt& divisor, Strategy strategy);
-
-  /// The microbenchmark behind BarrettMinLimbs (env override handled
-  /// there too).
-  static std::size_t MeasureBarrettMinLimbs();
-
-  /// Precomputes the Montgomery divisibility constants (odd part of the
-  /// divisor, its trailing-zero count, and -odd^-1 mod 2^64) from the
-  /// divisor magnitude; called by AssignWithStrategy for multi-limb
-  /// divisors.
-  void PrepareMontgomery();
   /// True iff the divisor's power-of-two factor 2^e divides the dividend
   /// (an e-bit tail check — the cheap half of the d = 2^e * odd split).
-  bool PowerOfTwoPartDivides(std::span<const std::uint64_t> dividend) const;
-  /// The streaming REDC divisibility sweep (see Divides). Requires
-  /// dividend.size() >= limbs_ and a nonzero dividend.
-  bool MontgomeryDivides(std::span<const std::uint64_t> dividend);
-  /// Reduces |dividend| into scratch `acc_`; returns true when the result
-  /// is exactly zero (the only bit Divides needs). Splits the dividend
-  /// into 32-bit digits at entry — the Barrett state stays
-  /// digit-granular, matching the 32x32 short-product kernels it drives.
-  bool ReduceLarge(std::span<const std::uint64_t> dividend);
-  /// One Barrett step: acc_ (< B^(2n)) becomes acc_ mod divisor, in place.
-  void BarrettReduce();
+  /// Requires dividend.size() >= limbs_.
+  bool PowerOfTwoPartDivides(LimbSpan dividend) const;
 
-  /// See SetEngineForTest.
-  static Engine engine_for_test_;
-
-  Strategy strategy_ = Strategy::kWord;
-  std::size_t limbs_ = 0;            ///< divisor magnitude limb count
-  std::uint64_t divisor_word_ = 0;   ///< divisor when limbs_ == 1
-  std::uint64_t word_reciprocal_ = 0;
-  std::uint64_t word_normalized_ = 0;
-  int word_shift_ = 0;
-
-  // Multi-limb state: the divisor as a BigInt (the Knuth strategy's
-  // operand and the source of every derived constant) plus the reused
-  // division scratch.
-  BigInt divisor_big_;
-  BigInt::DivScratch div_scratch_;
-
-  // Barrett state, digit-granular (B = 2^32): divisor digits and
-  // mu = floor(B^(2n) / divisor) with n = divisor_.size() digits.
-  std::vector<std::uint32_t> divisor_;
-  std::vector<std::uint32_t> mu_;
-  // Montgomery divisibility state (multi-limb divisors): the divisor's
-  // odd part in native 64-bit limbs, how many factors of two were shifted
-  // out, and the word inverse -odd_divisor64_[0]^-1 mod 2^64 driving each
-  // REDC step. mont_acc64_ is the reusable single-lane sweep accumulator.
-  std::vector<std::uint64_t> odd_divisor64_;
-  std::vector<std::uint64_t> mont_acc64_;
+  std::size_t limbs_ = 0;  ///< divisor magnitude limb count
+  Reciprocal64 word_{1};   ///< the divisor when limbs_ == 1
+  // Montgomery state (limbs_ >= 2): the divisor's odd part, how many
+  // factors of two were shifted out, and the word inverse
+  // -odd_divisor_[0]^-1 mod 2^64 driving each REDC step.
+  std::vector<std::uint64_t> odd_divisor_;
   int divisor_trailing_zeros_ = 0;
-  std::uint64_t mont_inv64_ = 0;
-  // Scratch (reused across calls): the Barrett accumulator, two products,
-  // and the dividend's digit split.
-  std::vector<std::uint32_t> acc_;
-  std::vector<std::uint32_t> t1_;
-  std::vector<std::uint32_t> t2_;
-  std::vector<std::uint32_t> dividend32_;
+  std::uint64_t neg_inv_ = 0;
 };
 
 /// One dividend against up to simd::kRedcLanes candidate divisors — the
@@ -384,18 +281,13 @@ class ReciprocalDivisor {
 /// against a batch of candidate ancestors. Computes each divisor's odd
 /// part and Newton inverse on the fly (O(divisor limbs) setup, cheap next
 /// to the O(dividend x divisor) sweep it feeds) and runs one batched REDC
-/// sweep. out[k] = divisors[k]->IsDivisibleBy... semantics: true iff
-/// *divisors[k] divides |dividend|; divisors must be nonzero.
-/// Bit-identical to a loop of exact scalar tests.
-void DividesIntoBatch(const BigInt& dividend,
-                      std::span<const BigInt* const> divisors, bool* out);
-
-/// Span twin of DividesIntoBatch: one dividend magnitude against up to
-/// simd::kRedcLanes divisor magnitudes, all non-owning (the
-/// SelectAncestors shape on an arena-backed catalog). Divisors must be
-/// nonzero. Bit-identical to the pointer overload on the same values.
+/// sweep. out[k] is true iff divisors[k] divides |dividend|; divisors must
+/// be nonzero. Bit-identical to a loop of exact scalar tests. The pointer
+/// overload forwards to the span one.
 void DividesIntoBatch(LimbSpan dividend, std::span<const LimbSpan> divisors,
                       bool* out);
+void DividesIntoBatch(const BigInt& dividend,
+                      std::span<const BigInt* const> divisors, bool* out);
 
 // --- Layer 3: subproduct / remainder trees ---------------------------------
 

@@ -23,61 +23,41 @@ namespace {
 
 using Limb = std::uint32_t;
 using U128 = unsigned __int128;
-constexpr int kLimbBits = 32;
 
-/// Below these operand sizes the vector walks' fixed costs (accumulator
-/// zeroing, recombination, short vector tails) outweigh the multiply
-/// savings and the row-wise scalar loop wins. Measured on AVX2: full
-/// digit products cross over near 20 digits, while the clipped Barrett
-/// short products (whose scalar loop does proportionally more range
-/// clipping per useful multiply) cross lower, near 12. Both apply to the
-/// smaller operand. The 64-bit entry points compare against a native
-/// scalar loop that does 4x fewer multiplies per limb product, so their
-/// digit-view vector path only pays off once the digit count clears the
-/// digit gate — limbs64 defaults to full/2. redc_min gates the padded
-/// vector REDC sweeps, whose lane transpose never amortizes on tiny
-/// dividends.
-struct DispatchGates {
-  std::size_t full = 20;     ///< digit kernels, full products
-  std::size_t partial = 12;  ///< digit kernels, Barrett short products
-  std::size_t limbs64 = 10;  ///< 64-bit MulLimbSpans digit-view path
-  std::size_t redc_min = 4;  ///< min dividend limbs for vector REDC
-};
+/// Minimum dividend size (64-bit limbs) for the vector REDC sweeps, whose
+/// lane transpose never amortizes on tiny dividends.
+constexpr std::size_t kVectorRedcMinLimbs = 4;
 
-const DispatchGates& Gates() {
-  static const DispatchGates gates = [] {
-    DispatchGates g;
-#if defined(PRIMELABEL_HAVE_NEON_KERNELS)
-    // The compiled-in defaults were measured on AVX2 hardware; aarch64
-    // deployments can re-tune the digit gates without rebuilding:
-    // PRIMELABEL_NEON_MIN_LIMBS="<full>[,<partial>]".
-    if (const char* env = std::getenv("PRIMELABEL_NEON_MIN_LIMBS")) {
-      char* end = nullptr;
-      const unsigned long full = std::strtoul(env, &end, 10);
-      if (end != env && full != 0) {
-        g.full = std::clamp<std::size_t>(full, 2, 256);
-        g.limbs64 = std::max<std::size_t>(2, (g.full + 1) / 2);
-        if (*end == ',') {
-          const char* rest = end + 1;
-          const unsigned long partial = std::strtoul(rest, &end, 10);
-          if (end != rest && partial != 0) {
-            g.partial = std::clamp<std::size_t>(partial, 2, 256);
-          }
-        }
-      }
-    }
-#endif
-    return g;
-  }();
-  return gates;
+/// REDC steps that decide whether an n-word odd d (top word nonzero)
+/// divides an m-word x, in any word base B. k steps leave
+/// t = (x + q * d) / B^k ≡ x * B^-k (mod d) with q < B^k, so
+/// t < x / B^k + d; once k >= m - n + 1, x < B^m <= B^k * d gives t < 2d,
+/// and since gcd(B, d) = 1, d | x iff t is 0 or d. Running all m steps
+/// (the textbook sweep) only shrinks t further at m * n word products
+/// instead of (m - n + 1) * n. With m < n no step is needed: a nonzero x
+/// is then below d.
+constexpr std::size_t RedcSteps(std::size_t m, std::size_t n) {
+  return m >= n ? m - n + 1 : 0;
 }
 
-template <typename LimbT>
-void StripHighZeros(std::vector<LimbT>* v) {
+void StripHighZeros(std::vector<std::uint64_t>* v) {
   while (!v->empty() && v->back() == 0) v->pop_back();
 }
 
 #if defined(PRIMELABEL_HAVE_AVX2_KERNELS) || defined(PRIMELABEL_HAVE_NEON_KERNELS)
+/// Shared step count of a padded base-2^32 REDC sweep over `lanes`: the
+/// most any lane needs (RedcSteps in digits; a divisor whose top limb
+/// fits 32 bits is one digit shorter).
+std::size_t RedcDigitSteps(std::span<const RedcLane> lanes) {
+  std::size_t steps = 0;
+  for (const RedcLane& lane : lanes) {
+    const std::size_t n = lane.odd_divisor.size() * 2 -
+                          ((lane.odd_divisor.back() >> 32) == 0 ? 1 : 0);
+    steps = std::max(steps, RedcSteps(lane.dividend.size() * 2, n));
+  }
+  return steps;
+}
+
 /// Views little-endian uint64 limbs as twice as many uint32 digits. The
 /// vector kernels are only compiled for little-endian targets, where the
 /// two layouts coincide byte for byte.
@@ -89,29 +69,10 @@ std::span<const std::uint32_t> DigitView(std::span<const std::uint64_t> limbs) {
 }
 #endif
 
-/// Per-thread digit buffer for the 64-bit entry points: the digit-kernel
-/// product before pair packing, or the explicit digit split of the
-/// portable ChunkResidues.
+/// Per-thread digit buffer for the explicit digit split of the portable
+/// 64-bit ChunkResidues.
 std::vector<std::uint32_t>& DigitScratch() {
   thread_local std::vector<std::uint32_t> scratch;
-  return scratch;
-}
-
-/// Per-thread storage for the reversed second operand of the NEON column
-/// walk; reversal makes each column's partial products contiguous in
-/// both operands (a[i] * brev[i + offset]), which is what lets the inner
-/// loop run 4 products per vector op. (The AVX2 kernel row-scans and does
-/// not reverse, so this is unused on x86-64 builds.)
-[[maybe_unused]] std::vector<Limb>& ReversedScratch() {
-  thread_local std::vector<Limb> scratch;
-  return scratch;
-}
-
-/// Per-thread storage for the row-scanning AVX2 walk's per-column 64-bit
-/// accumulators (low halves in the first half, high halves in the
-/// second).
-std::vector<std::uint64_t>& AccumulatorScratch() {
-  thread_local std::vector<std::uint64_t> scratch;
   return scratch;
 }
 
@@ -231,358 +192,7 @@ void ResetActiveIsa() {
   g_isa_override.store(-1, std::memory_order_relaxed);
 }
 
-std::size_t VectorMinLimbsFull() { return Gates().full; }
-std::size_t VectorMinLimbsPartial() { return Gates().partial; }
-std::size_t VectorMinLimbs64() { return Gates().limbs64; }
-std::size_t RedcBatchMinLimbs() { return Gates().redc_min; }
-
-// --- MulLimbSpans: portable -------------------------------------------------
-
-void MulLimbSpansPortable(std::span<const Limb> a, std::span<const Limb> b,
-                          std::vector<Limb>* out) {
-  if (a.empty() || b.empty()) {
-    out->clear();
-    return;
-  }
-  out->assign(a.size() + b.size(), 0);
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    std::uint64_t carry = 0;
-    const std::uint64_t ai = a[i];
-    for (std::size_t j = 0; j < b.size(); ++j) {
-      std::uint64_t cur = (*out)[i + j] + ai * b[j] + carry;
-      (*out)[i + j] = static_cast<Limb>(cur);
-      carry = cur >> kLimbBits;
-    }
-    (*out)[i + b.size()] = static_cast<Limb>(carry);
-  }
-  StripHighZeros(out);
-}
-
-namespace {
-
-/// Scalar walk shared by the portable partial-product kernels. The
-/// result value is sum over k in [kbegin, kend) of col_k * B^(k -
-/// kbegin), where col_k is the exact column sum over i+j==k of
-/// a[i]*b[j]; when `tail` is true (kend is one past the last column,
-/// na+nb-1) that value gains one carry limb at the top, and when it is
-/// false the value is taken mod B^(kend - kbegin). Implemented row-wise
-/// like the schoolbook loop above — each row accumulates its clipped
-/// product range in place with a 64-bit carry (one multiply and two adds
-/// per term, ~1.6x cheaper than a per-column U128 walk at the 6–16 limb
-/// operands the Barrett steps feed below the vector gate). The set of
-/// accumulated terms and the output width determine the value exactly,
-/// so the limbs match the vector kernels' column accumulation
-/// bit-for-bit.
-void ColumnWalkPortable(std::span<const Limb> a, std::span<const Limb> b,
-                        std::size_t kbegin, std::size_t kend, bool tail,
-                        std::vector<Limb>* out) {
-  const std::size_t na = a.size();
-  const std::size_t nb = b.size();
-  const std::size_t width = kend - kbegin + (tail ? 1 : 0);
-  out->assign(width, 0);
-  Limb* po = out->data();
-  for (std::size_t i = 0; i < na && i < kend; ++i) {
-    // Row i touches columns i + j for j in [0, nb); clip to the range.
-    const std::size_t jlo = kbegin > i ? kbegin - i : 0;
-    if (jlo >= nb) continue;
-    const std::size_t jhi = kend - i < nb ? kend - i : nb;  // exclusive
-    if (jhi <= jlo) continue;
-    const std::uint64_t ai = a[i];
-    std::uint64_t carry = 0;
-    std::size_t pos = i + jlo - kbegin;
-    for (std::size_t j = jlo; j < jhi; ++j, ++pos) {
-      const std::uint64_t cur = po[pos] + ai * b[j] + carry;
-      po[pos] = static_cast<Limb>(cur);
-      carry = cur >> kLimbBits;
-    }
-    // Ripple the row's carry upward; past `width` it falls off, which is
-    // exactly the mod-B^width semantics of the no-tail case (with a tail
-    // the true value fits in `width` limbs, so nothing is ever dropped).
-    for (; carry != 0 && pos < width; ++pos) {
-      const std::uint64_t cur = po[pos] + carry;
-      po[pos] = static_cast<Limb>(cur);
-      carry = cur >> kLimbBits;
-    }
-    assert((!tail || carry == 0) && "partial product exceeded its bound");
-  }
-  StripHighZeros(out);
-}
-
-}  // namespace
-
-void MulLimbSpansHighPortable(std::span<const Limb> a, std::span<const Limb> b,
-                              std::size_t from_column,
-                              std::vector<Limb>* out) {
-  if (a.empty() || b.empty() || from_column >= a.size() + b.size()) {
-    out->clear();
-    return;
-  }
-  ColumnWalkPortable(a, b, std::min(from_column, a.size() + b.size() - 1),
-                     a.size() + b.size() - 1, /*tail=*/true, out);
-}
-
-void MulLimbSpansLowPortable(std::span<const Limb> a, std::span<const Limb> b,
-                             std::size_t width, std::vector<Limb>* out) {
-  if (a.empty() || b.empty() || width == 0) {
-    out->clear();
-    return;
-  }
-  if (width >= a.size() + b.size()) {
-    MulLimbSpansPortable(a, b, out);
-    return;
-  }
-  ColumnWalkPortable(a, b, 0, width, /*tail=*/false, out);
-}
-
-// --- MulLimbSpans: AVX2 -----------------------------------------------------
-
-#if defined(PRIMELABEL_HAVE_AVX2_KERNELS)
-
-namespace {
-
-/// Row-scanning walk over columns k in [kbegin, kend): the result value
-/// is sum over that range of col_k * B^(k - kbegin), where col_k is the
-/// exact column sum over i+j==k of a[i]*b[j]. Instead of walking columns
-/// (whose per-column horizontal reductions dominate at the 8–30 limb
-/// operands the Barrett steps feed), each row i broadcasts a[i] and
-/// multiplies four b limbs per vector op, splitting the 64-bit products
-/// into low/high 32-bit halves accumulated in two per-column 64-bit
-/// arrays. Each array entry sums at most min(na, nb) halves < 2^32, so
-/// the lanes cannot wrap; a final scalar pass recombines
-/// acc_lo[k] + (acc_hi[k] << 32) into base-2^32 digits. The value is
-/// exact, so the output is identical limb-for-limb to the scalar column
-/// walk (and, over the full range, to the row-wise schoolbook loop).
-__attribute__((target("avx2"))) void ColumnWalkAvx2(
-    std::span<const Limb> a, std::span<const Limb> b, std::size_t kbegin,
-    std::size_t kend, bool tail, std::vector<Limb>* out) {
-  const std::size_t na = a.size();
-  const std::size_t nb = b.size();
-  const std::size_t cols = kend - kbegin;
-  out->assign(cols + (tail ? 1 : 0), 0);
-
-  // The accumulators live on the stack for the common small/mid sizes —
-  // the thread-local heap vector costs a TLS lookup plus a dispatched
-  // memset per call, which is most of the kernel's fixed overhead at the
-  // 8–30 limb operands the Barrett steps feed.
-  constexpr std::size_t kStackCols = 128;
-  alignas(32) std::uint64_t stack_acc[2 * kStackCols];
-  std::uint64_t* acc_lo;
-  if (cols <= kStackCols) {
-    for (std::size_t k = 0; k < 2 * cols; ++k) stack_acc[k] = 0;
-    acc_lo = stack_acc;
-  } else {
-    std::vector<std::uint64_t>& acc = AccumulatorScratch();
-    acc.assign(2 * cols, 0);
-    acc_lo = acc.data();
-  }
-  std::uint64_t* acc_hi = acc_lo + cols;
-
-  const __m256i mask32 = _mm256_set1_epi64x(0xffffffff);
-  for (std::size_t i = 0; i < na && i < kend; ++i) {
-    // Row i touches columns i + j for j in [0, nb); clip to the range.
-    const std::size_t jlo = kbegin > i ? kbegin - i : 0;
-    if (jlo >= nb) continue;
-    const std::size_t jhi = kend - i < nb ? kend - i : nb;  // exclusive
-    if (jhi <= jlo) continue;
-    const __m256i av = _mm256_set1_epi64x(static_cast<long long>(a[i]));
-    const Limb* pb = b.data();
-    std::uint64_t* plo = acc_lo + (i + jlo - kbegin);
-    std::uint64_t* phi = acc_hi + (i + jlo - kbegin);
-    std::size_t j = jlo;
-    for (; j + 4 <= jhi; j += 4, plo += 4, phi += 4) {
-      __m256i bv = _mm256_cvtepu32_epi64(
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(pb + j)));
-      __m256i p = _mm256_mul_epu32(av, bv);
-      __m256i alo = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(plo));
-      __m256i ahi = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(phi));
-      alo = _mm256_add_epi64(alo, _mm256_and_si256(p, mask32));
-      ahi = _mm256_add_epi64(ahi, _mm256_srli_epi64(p, 32));
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(plo), alo);
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(phi), ahi);
-    }
-    for (; j < jhi; ++j, ++plo, ++phi) {
-      const std::uint64_t p = static_cast<std::uint64_t>(a[i]) * pb[j];
-      *plo += p & 0xffffffffu;
-      *phi += p >> 32;
-    }
-  }
-
-  // Recombine. acc_lo[k] and acc_hi[k - 1] are each < min(na, nb) * 2^32
-  // and the running carry stays below ~2 * min(na, nb), so the 64-bit sum
-  // cannot wrap for any operand that fits in memory.
-  std::uint64_t carry = 0;
-  std::uint64_t hi_prev = 0;
-  for (std::size_t k = 0; k < cols; ++k) {
-    const std::uint64_t t = carry + acc_lo[k] + hi_prev;
-    (*out)[k] = static_cast<Limb>(t);
-    carry = t >> 32;
-    hi_prev = acc_hi[k];
-  }
-  if (tail) {
-    const std::uint64_t t = carry + hi_prev;
-    (*out)[cols] = static_cast<Limb>(t);
-    assert((t >> 32) == 0 && "partial product exceeded its bound");
-  }
-  StripHighZeros(out);
-}
-
-__attribute__((target("avx2"))) void MulLimbSpansAvx2(
-    std::span<const Limb> a, std::span<const Limb> b,
-    std::vector<Limb>* out) {
-  ColumnWalkAvx2(a, b, 0, a.size() + b.size() - 1, /*tail=*/true, out);
-}
-
-}  // namespace
-
-#endif  // PRIMELABEL_HAVE_AVX2_KERNELS
-
-// --- MulLimbSpans: NEON -----------------------------------------------------
-
-#if defined(PRIMELABEL_HAVE_NEON_KERNELS)
-
-namespace {
-
-/// The same column walk as the AVX2 kernel with 2 x 64-bit lanes:
-/// vmull_u32 produces two exact 32x32->64 products per op.
-void ColumnWalkNeon(std::span<const Limb> a, std::span<const Limb> b,
-                    std::size_t kbegin, std::size_t kend, bool tail,
-                    std::vector<Limb>* out) {
-  const std::size_t na = a.size();
-  const std::size_t nb = b.size();
-  out->assign(kend - kbegin + (tail ? 1 : 0), 0);
-
-  std::vector<Limb>& brev = ReversedScratch();
-  brev.resize(nb);
-  for (std::size_t j = 0; j < nb; ++j) brev[j] = b[nb - 1 - j];
-
-  const Limb* pa = a.data();
-  const Limb* pr = brev.data();
-  const uint64x2_t mask32 = vdupq_n_u64(0xffffffff);
-
-  U128 carry = 0;
-  for (std::size_t k = kbegin; k < kend; ++k) {
-    const std::size_t ilo = k >= nb ? k - nb + 1 : 0;
-    const std::size_t ihi = k < na ? k : na - 1;
-    const std::size_t count = ihi - ilo + 1;
-    const Limb* ca = pa + ilo;
-    const Limb* cb = pr + (ilo + nb - 1 - k);
-
-    uint64x2_t sum_lo = vdupq_n_u64(0);
-    uint64x2_t sum_hi = vdupq_n_u64(0);
-    std::size_t t = 0;
-    for (; t + 4 <= count; t += 4) {
-      uint32x4_t av = vld1q_u32(ca + t);
-      uint32x4_t bv = vld1q_u32(cb + t);
-      uint64x2_t p0 = vmull_u32(vget_low_u32(av), vget_low_u32(bv));
-      uint64x2_t p1 = vmull_u32(vget_high_u32(av), vget_high_u32(bv));
-      sum_lo = vaddq_u64(sum_lo, vandq_u64(p0, mask32));
-      sum_hi = vaddq_u64(sum_hi, vshrq_n_u64(p0, 32));
-      sum_lo = vaddq_u64(sum_lo, vandq_u64(p1, mask32));
-      sum_hi = vaddq_u64(sum_hi, vshrq_n_u64(p1, 32));
-    }
-    std::uint64_t slo = vgetq_lane_u64(sum_lo, 0) + vgetq_lane_u64(sum_lo, 1);
-    std::uint64_t shi = vgetq_lane_u64(sum_hi, 0) + vgetq_lane_u64(sum_hi, 1);
-    U128 column = static_cast<U128>(slo) + (static_cast<U128>(shi) << 32);
-    for (; t < count; ++t) {
-      column += static_cast<U128>(ca[t]) * cb[t];
-    }
-    carry += column;
-    (*out)[k - kbegin] = static_cast<Limb>(carry);
-    carry >>= 32;
-  }
-  if (tail) {
-    (*out)[kend - kbegin] = static_cast<Limb>(carry);
-    assert((carry >> 32) == 0 && "partial product exceeded its bound");
-  }
-  StripHighZeros(out);
-}
-
-void MulLimbSpansNeon(std::span<const Limb> a, std::span<const Limb> b,
-                      std::vector<Limb>* out) {
-  ColumnWalkNeon(a, b, 0, a.size() + b.size() - 1, /*tail=*/true, out);
-}
-
-}  // namespace
-
-#endif  // PRIMELABEL_HAVE_NEON_KERNELS
-
-void MulLimbSpans(std::span<const Limb> a, std::span<const Limb> b,
-                  std::vector<Limb>* out) {
-  if (a.empty() || b.empty()) {
-    out->clear();
-    return;
-  }
-  if (std::min(a.size(), b.size()) < Gates().full) {
-    MulLimbSpansPortable(a, b, out);
-    return;
-  }
-  switch (ActiveIsa()) {
-#if defined(PRIMELABEL_HAVE_AVX2_KERNELS)
-    case Isa::kAvx2:
-      MulLimbSpansAvx2(a, b, out);
-      return;
-#endif
-#if defined(PRIMELABEL_HAVE_NEON_KERNELS)
-    case Isa::kNeon:
-      MulLimbSpansNeon(a, b, out);
-      return;
-#endif
-    default:
-      break;
-  }
-  MulLimbSpansPortable(a, b, out);
-}
-
-namespace {
-
-/// Shared dispatch for the ranged column walks; falls back to the scalar
-/// walk below the vector threshold or on a scalar ISA.
-void ColumnWalkDispatch(std::span<const Limb> a, std::span<const Limb> b,
-                        std::size_t kbegin, std::size_t kend, bool tail,
-                        std::vector<Limb>* out) {
-  if (std::min(a.size(), b.size()) >= Gates().partial) {
-    switch (ActiveIsa()) {
-#if defined(PRIMELABEL_HAVE_AVX2_KERNELS)
-      case Isa::kAvx2:
-        ColumnWalkAvx2(a, b, kbegin, kend, tail, out);
-        return;
-#endif
-#if defined(PRIMELABEL_HAVE_NEON_KERNELS)
-      case Isa::kNeon:
-        ColumnWalkNeon(a, b, kbegin, kend, tail, out);
-        return;
-#endif
-      default:
-        break;
-    }
-  }
-  ColumnWalkPortable(a, b, kbegin, kend, tail, out);
-}
-
-}  // namespace
-
-void MulLimbSpansHigh(std::span<const Limb> a, std::span<const Limb> b,
-                      std::size_t from_column, std::vector<Limb>* out) {
-  if (a.empty() || b.empty() || from_column >= a.size() + b.size()) {
-    out->clear();
-    return;
-  }
-  ColumnWalkDispatch(a, b, std::min(from_column, a.size() + b.size() - 1),
-                     a.size() + b.size() - 1, /*tail=*/true, out);
-}
-
-void MulLimbSpansLow(std::span<const Limb> a, std::span<const Limb> b,
-                     std::size_t width, std::vector<Limb>* out) {
-  if (a.empty() || b.empty() || width == 0) {
-    out->clear();
-    return;
-  }
-  if (width >= a.size() + b.size()) {
-    MulLimbSpans(a, b, out);
-    return;
-  }
-  ColumnWalkDispatch(a, b, 0, width, /*tail=*/false, out);
-}
+std::size_t RedcBatchMinLimbs() { return kVectorRedcMinLimbs; }
 
 // --- ChunkResidues: portable ------------------------------------------------
 
@@ -779,9 +389,9 @@ void ChunkResidues(std::span<const Limb> magnitude,
 
 // --- 64-bit limb entry points -----------------------------------------------
 
-void MulLimbSpansPortable(std::span<const std::uint64_t> a,
-                          std::span<const std::uint64_t> b,
-                          std::vector<std::uint64_t>* out) {
+void MulLimbSpans(std::span<const std::uint64_t> a,
+                  std::span<const std::uint64_t> b,
+                  std::vector<std::uint64_t>* out) {
   if (a.empty() || b.empty()) {
     out->clear();
     return;
@@ -798,32 +408,6 @@ void MulLimbSpansPortable(std::span<const std::uint64_t> a,
     (*out)[i + b.size()] = static_cast<std::uint64_t>(carry);
   }
   StripHighZeros(out);
-}
-
-void MulLimbSpans(std::span<const std::uint64_t> a,
-                  std::span<const std::uint64_t> b,
-                  std::vector<std::uint64_t>* out) {
-  if (a.empty() || b.empty()) {
-    out->clear();
-    return;
-  }
-#if defined(PRIMELABEL_HAVE_AVX2_KERNELS) || defined(PRIMELABEL_HAVE_NEON_KERNELS)
-  if (std::min(a.size(), b.size()) >= Gates().limbs64 &&
-      ActiveIsa() != Isa::kScalar) {
-    // Run the dispatched digit kernel on zero-copy digit views, then pack
-    // digit pairs back into 64-bit limbs. Same exact value as the native
-    // loop, so the stripped limbs are bit-identical.
-    std::vector<std::uint32_t>& digits = DigitScratch();
-    MulLimbSpans(DigitView(a), DigitView(b), &digits);
-    out->assign((digits.size() + 1) / 2, 0);
-    for (std::size_t k = 0; k < digits.size(); ++k) {
-      (*out)[k / 2] |= static_cast<std::uint64_t>(digits[k])
-                       << (32 * (k % 2));
-    }
-    return;
-  }
-#endif
-  MulLimbSpansPortable(a, b, out);
 }
 
 void ChunkResiduesPortable(std::span<const std::uint64_t> magnitude,
@@ -854,11 +438,14 @@ unsigned RedcDividesBatchPortable(std::span<const RedcLane> lanes) {
   assert(!lanes.empty() && lanes.size() <= kRedcLanes);
   thread_local std::vector<std::uint64_t> buf;
   std::size_t offset[kRedcLanes + 1] = {};
-  std::size_t mmax = 0;
+  std::size_t steps[kRedcLanes] = {};
+  std::size_t smax = 0;
   for (std::size_t k = 0; k < lanes.size(); ++k) {
     const std::size_t m = lanes[k].dividend.size();
-    offset[k + 1] = offset[k] + m + lanes[k].odd_divisor.size() + 1;
-    mmax = std::max(mmax, m);
+    const std::size_t nd = lanes[k].odd_divisor.size();
+    offset[k + 1] = offset[k] + m + nd + 1;
+    steps[k] = RedcSteps(m, nd);
+    smax = std::max(smax, steps[k]);
   }
   buf.assign(offset[lanes.size()], 0);
   for (std::size_t k = 0; k < lanes.size(); ++k) {
@@ -868,10 +455,10 @@ unsigned RedcDividesBatchPortable(std::span<const RedcLane> lanes) {
   // Step loop outside, lane loop inside: each lane's REDC sweep is one
   // serial carry chain, but the lanes' chains are independent, so
   // interleaving them per step keeps the out-of-order core fed.
-  for (std::size_t i = 0; i < mmax; ++i) {
+  for (std::size_t i = 0; i < smax; ++i) {
     for (std::size_t k = 0; k < lanes.size(); ++k) {
+      if (i >= steps[k]) continue;
       const RedcLane& lane = lanes[k];
-      if (i >= lane.dividend.size()) continue;
       std::uint64_t* t = buf.data() + offset[k];
       const std::size_t nd = lane.odd_divisor.size();
       // u makes t[i] + u * d ≡ 0 (mod 2^64): the step clears one limb
@@ -892,13 +479,11 @@ unsigned RedcDividesBatchPortable(std::span<const RedcLane> lanes) {
       }
     }
   }
-  // After m steps t = (x + q * d) / B^m ≤ d sits at t[m .. m + nd], and
-  // d | x iff that residue is 0 or d exactly.
+  // The residue (< 2d, see RedcSteps) sits at t[steps .. steps + nd].
   unsigned verdict = 0;
   for (std::size_t k = 0; k < lanes.size(); ++k) {
     const RedcLane& lane = lanes[k];
-    const std::uint64_t* t =
-        buf.data() + offset[k] + lane.dividend.size();
+    const std::uint64_t* t = buf.data() + offset[k] + steps[k];
     bool zero = true;
     bool eq = true;
     for (std::size_t j = 0; j < lane.odd_divisor.size(); ++j) {
@@ -927,12 +512,13 @@ std::vector<std::uint64_t>& RedcScratchAvx2() {
 }
 
 /// Four REDC divisibility sweeps in base 2^32, one per AVX2 lane, with
-/// one shared step loop padded to the longest dividend. Padding is sound:
-/// every extra step still clears the step's low digit (u is derived per
-/// lane from its own digit and inverse) and only multiplies the residue
-/// class by another B^-1, which gcd(B, odd d) = 1 makes harmless — after
-/// any i steps t = (x + q * d) / B^i ≤ d + x / B^i, so after mmax ≥ m
-/// steps every lane's residue is ≤ d and sits at T[mmax ..].
+/// one shared step loop padded to the lane that needs the most steps.
+/// Padding is sound: every extra step still clears the step's low digit
+/// (u is derived per lane from its own digit and inverse) and only
+/// multiplies the residue class by another B^-1, which gcd(B, odd d) = 1
+/// makes harmless, while the bound t < x / B^i + d only tightens — so
+/// after RedcDigitSteps steps every lane's residue is < 2d and sits at
+/// T[steps ..].
 __attribute__((target("avx2"))) unsigned RedcDividesBatchAvx2(
     std::span<const RedcLane> lanes) {
   std::size_t mmax = 0;
@@ -968,7 +554,8 @@ __attribute__((target("avx2"))) unsigned RedcDividesBatchAvx2(
   const __m256i mask32 = _mm256_set1_epi64x(0xffffffff);
   const __m256i invv =
       _mm256_load_si256(reinterpret_cast<const __m256i*>(inv));
-  for (std::size_t i = 0; i < mmax; ++i) {
+  const std::size_t steps = RedcDigitSteps(lanes);
+  for (std::size_t i = 0; i < steps; ++i) {
     std::uint64_t* base = T + i * 4;
     __m256i u = _mm256_and_si256(
         _mm256_mul_epu32(
@@ -1006,12 +593,13 @@ __attribute__((target("avx2"))) unsigned RedcDividesBatchAvx2(
     }
   }
 
+  // Each lane's residue (< 2d) sits at T[steps .. steps + ndmax].
   unsigned verdict = 0;
   for (std::size_t k = 0; k < 4; ++k) {
-    bool zero = true;
-    bool eq = true;
+    bool zero = T[(steps + ndmax) * 4 + k] == 0;
+    bool eq = zero;
     for (std::size_t j = 0; j < ndmax; ++j) {
-      const std::uint64_t digit = T[(mmax + j) * 4 + k];
+      const std::uint64_t digit = T[(steps + j) * 4 + k];
       zero = zero && digit == 0;
       eq = eq && digit == D[j * 4 + k];
     }
@@ -1068,7 +656,8 @@ unsigned RedcDividesBatchNeon2(std::span<const RedcLane> lanes) {
 
   const uint64x2_t mask32 = vdupq_n_u64(0xffffffff);
   const uint32x2_t invv = vld1_u32(inv);
-  for (std::size_t i = 0; i < mmax; ++i) {
+  const std::size_t steps = RedcDigitSteps(lanes);
+  for (std::size_t i = 0; i < steps; ++i) {
     std::uint64_t* base = T + i * 2;
     const uint32x2_t u =
         vmovn_u64(vandq_u64(vmull_u32(vmovn_u64(vld1q_u64(base)), invv),
@@ -1094,10 +683,10 @@ unsigned RedcDividesBatchNeon2(std::span<const RedcLane> lanes) {
 
   unsigned verdict = 0;
   for (std::size_t k = 0; k < 2; ++k) {
-    bool zero = true;
-    bool eq = true;
+    bool zero = T[(steps + ndmax) * 2 + k] == 0;
+    bool eq = zero;
     for (std::size_t j = 0; j < ndmax; ++j) {
-      const std::uint64_t digit = T[(mmax + j) * 2 + k];
+      const std::uint64_t digit = T[(steps + j) * 2 + k];
       zero = zero && digit == 0;
       eq = eq && digit == D[j * 2 + k];
     }
@@ -1128,7 +717,7 @@ unsigned RedcDividesBatch(std::span<const RedcLane> lanes) {
   // portable time, a 1.25x spread already loses 26%, a 2x spread 57%.
   // Hence the gate: vector REDC only for batches of equal-size
   // dividends, where the transpose is the only overhead.
-  if (mmin >= Gates().redc_min && mmax == mmin) {
+  if (mmin >= kVectorRedcMinLimbs && mmax == mmin) {
     switch (ActiveIsa()) {
 #if defined(PRIMELABEL_HAVE_AVX2_KERNELS)
       case Isa::kAvx2:

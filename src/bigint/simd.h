@@ -9,26 +9,24 @@ namespace primelabel::simd {
 
 // Vectorized limb kernels with runtime CPU dispatch.
 //
-// The divisibility engine (bigint/reduction.h) and BigInt multiplication
-// bottom out in a few inner loops. Since the engine-v2 migration BigInt
-// stores 64-bit limbs, but the vector units multiply 32x32->64, so the
-// kernel layer works at two granularities:
+// The divisibility engine (bigint/reduction.h) and the fingerprint layer
+// bottom out in a few inner loops over BigInt's 64-bit limbs:
 //
-//   * 64-bit limb entry points (the BigInt representation) —
-//     MulLimbSpans, ChunkResidues and the batched Montgomery
-//     divisibility kernel RedcDividesBatch. Their vector paths view the
-//     little-endian uint64 limbs as twice as many uint32 "digits"
-//     (zero-copy on the little-endian targets the vector kernels are
-//     compiled for) and their scalar paths run native 64-bit arithmetic
-//     with 128-bit intermediates.
-//   * 32-bit digit kernels — the ranged partial products
-//     MulLimbSpansHigh/Low feeding Barrett reduction, which keeps its
-//     internal state digit-granular, plus digit overloads of the entry
-//     points above.
+//   * RedcDividesBatch — the batched Montgomery divisibility sweep;
+//   * ChunkResidues — all fingerprint chunk residues in one sweep;
+//   * MulLimbSpans — the schoolbook product; portable only, because a
+//     digit-view vector body measured slower than the native 64-bit loop
+//     at every size where it engaged.
 //
-// Each kernel has a portable scalar implementation and, where the target
-// supports it, a vector implementation (AVX2 on x86-64, NEON on aarch64)
-// selected once at runtime. All implementations are exact integer
+// The vector units multiply 32x32->64, so the vector paths view the
+// little-endian uint64 limbs as twice as many uint32 "digits" (zero-copy
+// on the little-endian targets they are compiled for); the scalar paths
+// run native 64-bit arithmetic with 128-bit intermediates. ChunkResidues
+// also keeps a digit overload, the form its power tables are built in.
+//
+// Each dispatched kernel has a portable scalar implementation and, where the
+// target supports it, a vector implementation (AVX2 on x86-64, NEON on
+// aarch64) selected once at runtime. All implementations are exact integer
 // arithmetic and therefore bit-identical: the vector paths only
 // re-associate additions of exact partial products, never round.
 //
@@ -72,39 +70,20 @@ void ResetActiveIsa();
 /// set PRIMELABEL_DISABLE_SIMD).
 bool VectorKernelsCompiledIn();
 
-// --- Strategy crossovers ----------------------------------------------------
-//
-// Effective vector-dispatch gates, in limbs of the respective width.
-// Compiled-in defaults were measured on AVX2; on aarch64 builds the
-// digit-kernel gates can be overridden without rebuilding via
-// PRIMELABEL_NEON_MIN_LIMBS="<full>[,<partial>]" (clamped to [2, 256]),
-// since the NEON crossovers have not been measured on real hardware.
-// Benches record all of these in the BENCH_*.json context block.
-
-/// Digit-kernel gate for full products (32-bit limbs, smaller operand).
-std::size_t VectorMinLimbsFull();
-/// Digit-kernel gate for the Barrett partial products (32-bit limbs).
-std::size_t VectorMinLimbsPartial();
-/// 64-bit-limb gate for the MulLimbSpans digit-view vector path.
-std::size_t VectorMinLimbs64();
 /// Minimum dividend size (64-bit limbs) for the vector RedcDividesBatch
-/// paths; smaller batches take the scalar interleaved sweep.
+/// paths; smaller batches take the scalar interleaved sweep. Benches
+/// record it in the BENCH_*.json context block.
 std::size_t RedcBatchMinLimbs();
 
 // --- 64-bit limb entry points -----------------------------------------------
 
 /// out = a * b over little-endian 64-bit limb spans, high zero limbs
 /// stripped (empty result for an empty/zero operand). `out` must not
-/// alias either input. Dispatched; bit-identical across ISAs.
+/// alias either input. Portable schoolbook loop with native 128-bit
+/// intermediates.
 void MulLimbSpans(std::span<const std::uint64_t> a,
                   std::span<const std::uint64_t> b,
                   std::vector<std::uint64_t>* out);
-
-/// Portable reference for the 64-bit MulLimbSpans (native 128-bit
-/// intermediates, always scalar, ignores the dispatch override).
-void MulLimbSpansPortable(std::span<const std::uint64_t> a,
-                          std::span<const std::uint64_t> b,
-                          std::vector<std::uint64_t>* out);
 
 /// ChunkResidues over a 64-bit limb magnitude (see the digit overload
 /// below for the contract). Dispatched; bit-identical across ISAs.
@@ -138,10 +117,13 @@ struct RedcLane {
 /// Runs up to kRedcLanes Montgomery (REDC) divisibility sweeps at once;
 /// bit k of the result is set iff lanes[k].odd_divisor divides
 /// lanes[k].dividend. Lanes may carry different divisors and different
-/// sizes. The AVX2 path interleaves 4 dividends across vector lanes at
-/// digit granularity (one shared step loop padded to the longest lane —
-/// extra REDC steps only multiply the residue class by extra B^-1
-/// factors, which gcd(B, odd) = 1 makes harmless); NEON runs the same
+/// sizes. An m-word dividend against an n-word divisor takes m - n + 1
+/// REDC steps, not m: that already bounds the residue below 2d, so it is
+/// 0 or d exactly when divisible. The AVX2 path interleaves 4 dividends
+/// across vector lanes at digit granularity (one shared step loop padded
+/// to the lane needing the most steps — extra REDC steps only multiply
+/// the residue class by extra B^-1 factors, which gcd(B, odd) = 1 makes
+/// harmless); NEON runs the same
 /// scheme 2 lanes per vector; the scalar path interleaves the native
 /// 64-bit sweeps of all lanes step by step, which frees the
 /// out-of-order core from each sweep's serial carry chain. All paths
@@ -152,52 +134,6 @@ unsigned RedcDividesBatch(std::span<const RedcLane> lanes);
 /// Portable reference implementation of RedcDividesBatch (always scalar,
 /// ignores the dispatch override).
 unsigned RedcDividesBatchPortable(std::span<const RedcLane> lanes);
-
-/// out = a * b over little-endian 32-bit limb spans, high zero limbs
-/// stripped (empty result for an empty/zero operand). `out` must not
-/// alias either input. Dispatched; bit-identical across ISAs.
-void MulLimbSpans(std::span<const std::uint32_t> a,
-                  std::span<const std::uint32_t> b,
-                  std::vector<std::uint32_t>* out);
-
-/// The portable reference implementation of MulLimbSpans (always scalar,
-/// ignores the dispatch override) — the comparison anchor of the
-/// equivalence suites.
-void MulLimbSpansPortable(std::span<const std::uint32_t> a,
-                          std::span<const std::uint32_t> b,
-                          std::vector<std::uint32_t>* out);
-
-/// Partial (short) products for Barrett reduction. Both compute exact
-/// column sums col_k = sum over i+j==k of a[i]*b[j], restricted to a
-/// range of columns, with full carry propagation inside the range and no
-/// carry-in from below it. Dispatched like MulLimbSpans; bit-identical to
-/// their *Portable references on every ISA.
-///
-/// MulLimbSpansHigh: out represents sum_{k >= from_column} col_k *
-/// B^(k - from_column). With from_column == 0 this is exactly a * b; for
-/// larger cuts it underestimates floor(a*b / B^from_column) by the
-/// dropped columns' carries only — less than from_column^2 *
-/// B^(from_column+1) / B^from_column in value — which Barrett's
-/// correction loop absorbs (see ReciprocalDivisor::Reduce).
-void MulLimbSpansHigh(std::span<const std::uint32_t> a,
-                      std::span<const std::uint32_t> b,
-                      std::size_t from_column,
-                      std::vector<std::uint32_t>* out);
-void MulLimbSpansHighPortable(std::span<const std::uint32_t> a,
-                              std::span<const std::uint32_t> b,
-                              std::size_t from_column,
-                              std::vector<std::uint32_t>* out);
-
-/// MulLimbSpansLow: out = (a * b) mod B^width, exactly — all columns
-/// below `width` with their internal carries, the carry out of the top
-/// column discarded.
-void MulLimbSpansLow(std::span<const std::uint32_t> a,
-                     std::span<const std::uint32_t> b, std::size_t width,
-                     std::vector<std::uint32_t>* out);
-void MulLimbSpansLowPortable(std::span<const std::uint32_t> a,
-                             std::span<const std::uint32_t> b,
-                             std::size_t width,
-                             std::vector<std::uint32_t>* out);
 
 /// Number of fingerprint chunk moduli served by ChunkResidues — matches
 /// kFingerprintChunks in bigint/reduction.h (static_asserted there).

@@ -169,8 +169,7 @@ Result<DurableDocumentStore> DurableDocumentStore::Create(
   DurableDocumentStore store(dir, std::move(doc.value()),
                              std::move(wal.value()), epoch, options, &vfs);
   store.ResetBaseIndex(rows, store.doc_.scheme().sc_table());
-  store.registry_->Register(epoch, /*is_delta=*/false, 0);
-  store.registry_->SetCurrent(epoch);
+  store.registry_->Publish(epoch, /*is_delta=*/false, 0);
   store.registry_->SetDurableBytes(store.wal_.committed_bytes());
   return store;
 }
@@ -221,12 +220,14 @@ Result<DurableDocumentStore> DurableDocumentStore::Open(
   store.base_index_ = std::move(base_index);
   store.base_sc_hashes_ = std::move(base_sc_hashes);
   store.chain_len_ = static_cast<int>(chain->links.size()) - 1;
-  // Register the chain bottom-up so every base is known before the epoch
-  // that chains to it, then publish.
-  for (auto it = chain->links.rbegin(); it != chain->links.rend(); ++it) {
-    store.registry_->Register(it->epoch, it->is_delta, it->base_epoch);
+  // Register the chain bases bottom-up so every base is known before the
+  // epoch that chains to it, then publish the MANIFEST epoch (links[0]).
+  const std::vector<EpochChain::Link>& links = chain->links;
+  for (std::size_t i = links.size(); i-- > 1;) {
+    store.registry_->Register(links[i].epoch, links[i].is_delta,
+                              links[i].base_epoch);
   }
-  store.registry_->SetCurrent(*epoch);
+  store.registry_->Publish(*epoch, links[0].is_delta, links[0].base_epoch);
   store.registry_->SetDurableBytes(store.wal_.committed_bytes());
   SweepStrays(vfs, dir, chain.value());
   return store;
@@ -451,8 +452,7 @@ Status DurableDocumentStore::Checkpoint() {
   epoch_ = next;
   chain_len_ = as_delta ? chain_len_ + 1 : 0;
   ResetBaseIndex(rows, sc_table);
-  registry_->Register(next, as_delta, old);
-  registry_->SetCurrent(next);
+  registry_->Publish(next, as_delta, old);
   registry_->SetDurableBytes(wal_.committed_bytes());
   return Status::Ok();
 }

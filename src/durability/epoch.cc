@@ -44,15 +44,14 @@ EpochRegistry::EpochRegistry(Vfs* vfs, std::string dir)
 void EpochRegistry::Register(std::uint64_t epoch, bool is_delta,
                              std::uint64_t base_epoch) {
   std::lock_guard<std::mutex> lock(mu_);
-  EpochInfo info;
-  info.is_delta = is_delta;
-  info.base_epoch = base_epoch;
-  epochs_[epoch] = info;
+  epochs_[epoch] = {is_delta, base_epoch, false};
 }
 
-void EpochRegistry::SetCurrent(std::uint64_t epoch) {
+void EpochRegistry::Publish(std::uint64_t epoch, bool is_delta,
+                            std::uint64_t base_epoch) {
   {
     std::lock_guard<std::mutex> lock(mu_);
+    epochs_[epoch] = {is_delta, base_epoch, false};
     current_ = epoch;
     durable_bytes_ = 0;
     CollectLocked();
@@ -147,6 +146,7 @@ void EpochRegistry::CollectLocked() {
 
   for (auto it = epochs_.begin(); it != epochs_.end();) {
     const std::uint64_t epoch = it->first;
+    if (epoch > current_) break;  // declared, not yet published (map order)
     if (need_files.count(epoch) == 0) {
       // Fully unreachable: all three files go. Best effort — strays are
       // swept at the next Open.

@@ -71,16 +71,20 @@ class EpochRegistry {
  public:
   EpochRegistry(Vfs* vfs, std::string dir);
 
-  /// Declares an epoch and how it is stored. `base_epoch` is meaningful
-  /// only for deltas (the epoch the .pld applies against).
+  /// Declares an epoch that is not current — the delta-chain bases Open
+  /// loads below the MANIFEST epoch — and how it is stored. `base_epoch`
+  /// is meaningful only for deltas (the epoch the .pld applies against).
   void Register(std::uint64_t epoch, bool is_delta, std::uint64_t base_epoch);
 
-  /// Publishes `epoch` as current (after the MANIFEST swing) and retires
-  /// whatever became unreachable.
-  void SetCurrent(std::uint64_t epoch);
+  /// Declares `epoch` (as Register does) and publishes it as current
+  /// (after the MANIFEST swing) in one critical section, then retires
+  /// whatever became unreachable. One section matters: a pin released
+  /// between a separate declare and publish would collect with the old
+  /// epoch still current and unlink the new epoch's files.
+  void Publish(std::uint64_t epoch, bool is_delta, std::uint64_t base_epoch);
 
   /// Installs (or clears, with nullptr) the retirement listener: invoked
-  /// with the new current epoch after every SetCurrent publish, outside
+  /// with the new current epoch after every Publish, outside
   /// the registry lock, on the publishing (writer) thread. The service
   /// layer's view cache hooks in here to drop materialized views of
   /// epochs no new pin can reach — pins always capture the current epoch,
@@ -116,7 +120,9 @@ class EpochRegistry {
   };
 
   void Unpin(std::uint64_t id);
-  /// Retires unreachable epochs' files. Caller holds mu_.
+  /// Retires unreachable epochs' files. Epochs newer than current_ are
+  /// never collected: they are declared but not yet published. Caller
+  /// holds mu_.
   void CollectLocked();
 
   Vfs* vfs_;
@@ -124,7 +130,7 @@ class EpochRegistry {
   mutable std::mutex mu_;
   /// Guarded by listener_mu_, not mu_: the listener runs outside mu_ (it
   /// may re-enter the registry), but installing/clearing it must still be
-  /// safe against a concurrent SetCurrent.
+  /// safe against a concurrent Publish.
   mutable std::mutex listener_mu_;
   std::function<void(std::uint64_t)> retirement_listener_;
   std::map<std::uint64_t, EpochInfo> epochs_;

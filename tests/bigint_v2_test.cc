@@ -378,22 +378,38 @@ std::uint64_t NegInv64(std::uint64_t d) {
 
 TEST(BigIntV2, RedcBatchLaneTailEquivalence) {
   // Every lane count 1..4 (the full vector group and the 1-3 tails),
-  // mixed dividend widths per batch, odd divisors of 2..6 limbs:
-  // portable vs dispatched vs BigInt::IsDivisibleBy must agree exactly.
+  // odd divisors of 2..6 limbs: portable vs dispatched vs
+  // BigInt::IsDivisibleBy must agree exactly. Even rounds mix dividend
+  // widths and give divisors a full top limb; odd rounds give all lanes
+  // one dividend width (the vector sweep's gate) and divisors whose top
+  // limb fits 32 bits — one base-2^32 digit short, the tightest case of
+  // the shortened sweep's step count.
   Rng rng(20260805);
   for (int round = 0; round < 200; ++round) {
+    const bool uniform = round % 2 == 1;
+    const std::size_t width = 7 + rng.Below(4);
     std::vector<BigInt> divisors, dividends;
     for (int lane = 0; lane < 4; ++lane) {
       const std::size_t dl = 2 + rng.Below(5);
       std::vector<std::uint8_t> dbytes(dl * 8);
       for (auto& byte : dbytes) byte = static_cast<std::uint8_t>(rng.Next());
-      dbytes[0] |= 1;         // odd
-      dbytes.back() |= 0x80;  // full top limb
+      dbytes[0] |= 1;  // odd
+      if (uniform) {
+        dbytes.resize(dbytes.size() - 4);  // top limb fits 32 bits
+      }
+      dbytes.back() |= 0x80;  // full top byte
       BigInt d = BigInt::FromMagnitudeBytes(dbytes);
-      const std::size_t kl = 1 + rng.Below(6);
+      const std::size_t kl = uniform ? width - dl + 2 : 1 + rng.Below(6);
       std::vector<std::uint8_t> kbytes(kl * 8);
       for (auto& byte : kbytes) byte = static_cast<std::uint8_t>(rng.Next());
-      BigInt y = d * BigInt::FromMagnitudeBytes(kbytes);
+      kbytes.back() |= 0x80;
+      BigInt k = BigInt::FromMagnitudeBytes(kbytes);
+      BigInt y = d * k;
+      // Halve the multiplier until the product is exactly `width` limbs.
+      while (uniform && y.Magnitude().size() > width) {
+        k = k >> 1;
+        y = d * k;
+      }
       if (lane % 2 == 1) {
         y += BigInt::FromUint64(1 + rng.Below(1000));  // usually indivisible
       }

@@ -24,6 +24,8 @@
 #include <gtest/gtest.h>
 
 #include "corpus/durable_document_store.h"
+#include "durability/epoch.h"
+#include "durability/vfs.h"
 #include "xml/serializer.h"
 #include "xml/shakespeare.h"
 
@@ -162,6 +164,35 @@ TEST(EpochConcurrency, PinnedReadersSeeCommittedStatesBitIdentically) {
   Result<DurableDocumentStore> reopened = DurableDocumentStore::Open(dir);
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
   EXPECT_EQ(StateDigest(reopened->document()), live);
+  RemoveTree(dir);
+}
+
+TEST(EpochConcurrency, DeclaredEpochSurvivesPinReleaseBeforePublish) {
+  // The checkpoint publish race, replayed deterministically: epoch 2 is
+  // declared (its files written) while epoch 1 is still current and
+  // pinned. Releasing the pin runs retirement before epoch 2 is current;
+  // it must not treat the newer epoch as unreachable and unlink it.
+  const std::string dir = TempDirPath("epoch-declared-before-publish");
+  RemoveTree(dir);
+  Vfs& vfs = DefaultVfs();
+  ASSERT_TRUE(vfs.CreateDirs(dir).ok());
+  const std::vector<std::uint8_t> bytes = {1, 2, 3};
+  for (std::uint64_t epoch : {1u, 2u}) {
+    ASSERT_TRUE(vfs.WriteWhole(EpochSnapshotPath(dir, epoch), bytes).ok());
+    ASSERT_TRUE(vfs.WriteWhole(EpochJournalPath(dir, epoch), bytes).ok());
+  }
+  auto registry = std::make_shared<EpochRegistry>(&vfs, dir);
+  registry->Publish(1, /*is_delta=*/false, 0);
+  EpochPin pin = registry->Pin(registry);
+  registry->Register(2, /*is_delta=*/false, 0);
+  pin.Release();
+  EXPECT_TRUE(registry->ChainFilesPresent(2));
+  EXPECT_TRUE(vfs.Exists(EpochJournalPath(dir, 2)));
+  // Publishing epoch 2 retires the unpinned, superseded epoch 1.
+  registry->Publish(2, /*is_delta=*/false, 0);
+  EXPECT_TRUE(registry->ChainFilesPresent(2));
+  EXPECT_FALSE(vfs.Exists(EpochSnapshotPath(dir, 1)));
+  EXPECT_FALSE(vfs.Exists(EpochJournalPath(dir, 1)));
   RemoveTree(dir);
 }
 

@@ -1,17 +1,15 @@
 // Randomized equivalence suites for the dispatched limb kernels
-// (bigint/simd.h) and the reduction engine built on them. The vector
+// (bigint/simd.h) and the divisibility engine built on them. The vector
 // kernels' whole contract is "bit-identical to the portable reference on
-// every input", so these tests hammer that claim three ways:
+// every input", so these tests check that claim three ways:
 //
 //   * kernel vs kernel — dispatched output against *Portable on random
-//     operands (mixed sizes, all-ones carry stress, unaligned subspans,
-//     empty spans);
-//   * kernel vs BigInt — the same products/residues against the BigInt
-//     arithmetic they accelerate (the independent ground truth);
+//     operands;
+//   * kernel vs BigInt — the same residues against the BigInt arithmetic
+//     they accelerate (the independent ground truth);
 //   * engine vs engine — ReciprocalDivisor under vector vs pinned-scalar
-//     dispatch, and the optimized engine (short-product Barrett +
-//     Montgomery divisibility) against the reference engine
-//     (SetReferenceEngineForTest), including the even-divisor /
+//     dispatch, through both the BigInt and the limb-span front doors,
+//     against BigInt::IsDivisibleBy, including the even-divisor /
 //     power-of-two / short-dividend edge cases Montgomery splits on.
 //
 // On a host without vector kernels (or a -DPRIMELABEL_DISABLE_SIMD=ON
@@ -22,7 +20,6 @@
 #include "bigint/simd.h"
 
 #include <cstdint>
-#include <cstdlib>
 #include <span>
 #include <vector>
 
@@ -36,18 +33,6 @@ namespace primelabel {
 namespace {
 
 using Limb = std::uint32_t;
-
-// Declared first in the file so it runs before anything can trigger the
-// lazy crossover measurement when the whole binary runs in one process
-// (under ctest each test is its own process anyway). The env override is
-// clamped to [2, 32] (64-bit limbs).
-TEST(SimdKernels, BarrettMinLimbsHonorsEnvOverride) {
-  setenv("PRIMELABEL_BARRETT_MIN_LIMBS", "5", /*overwrite=*/1);
-  EXPECT_EQ(ReciprocalDivisor::BarrettMinLimbs(), 5u);
-  unsetenv("PRIMELABEL_BARRETT_MIN_LIMBS");
-  // Cached after first use: later calls keep the value they started with.
-  EXPECT_EQ(ReciprocalDivisor::BarrettMinLimbs(), 5u);
-}
 
 BigInt FromLimbs(std::span<const Limb> limbs) {
   BigInt value;
@@ -65,104 +50,6 @@ std::vector<Limb> RandomLimbs(Rng& rng, std::size_t n, unsigned bias) {
     limb = rng.Chance(bias) ? ~Limb{0} : static_cast<Limb>(rng.Next());
   }
   return v;
-}
-
-TEST(SimdKernels, MulMatchesPortableAndBigInt) {
-  Rng rng(101);
-  std::vector<Limb> dispatched, portable;
-  for (int trial = 0; trial < 400; ++trial) {
-    const std::size_t na = rng.Below(60);
-    const std::size_t nb = rng.Below(200);
-    const unsigned bias = trial % 3 == 0 ? 40 : 0;
-    std::vector<Limb> a = RandomLimbs(rng, na, bias);
-    std::vector<Limb> b = RandomLimbs(rng, nb, bias);
-    simd::MulLimbSpans(a, b, &dispatched);
-    simd::MulLimbSpansPortable(a, b, &portable);
-    ASSERT_EQ(dispatched, portable) << "trial " << trial;
-    const BigInt truth = FromLimbs(a) * FromLimbs(b);
-    ASSERT_EQ(FromLimbs(dispatched), truth) << "trial " << trial;
-  }
-}
-
-TEST(SimdKernels, MulAllOnesCarrySaturation) {
-  // (B^n - 1)^2 maximizes every column sum and carry — the worst case for
-  // the split lo/hi accumulator recombine.
-  std::vector<Limb> dispatched, portable;
-  for (std::size_t n : {1u, 2u, 4u, 13u, 64u, 129u, 300u}) {
-    std::vector<Limb> ones(n, ~Limb{0});
-    simd::MulLimbSpans(ones, ones, &dispatched);
-    simd::MulLimbSpansPortable(ones, ones, &portable);
-    ASSERT_EQ(dispatched, portable) << "n=" << n;
-    ASSERT_EQ(FromLimbs(dispatched), FromLimbs(ones) * FromLimbs(ones));
-  }
-}
-
-TEST(SimdKernels, MulUnalignedSubspansAndEmpty) {
-  Rng rng(103);
-  std::vector<Limb> backing = RandomLimbs(rng, 300, 10);
-  std::vector<Limb> dispatched, portable;
-  for (int trial = 0; trial < 100; ++trial) {
-    // Odd offsets into one backing buffer: the AVX2 loads must cope with
-    // any alignment.
-    const std::size_t off_a = rng.Below(7) + 1;
-    const std::size_t off_b = rng.Below(5) + 1;
-    const std::size_t na = rng.Below(80);
-    const std::size_t nb = rng.Below(80);
-    std::span<const Limb> a(backing.data() + off_a, na);
-    std::span<const Limb> b(backing.data() + off_b, nb);
-    simd::MulLimbSpans(a, b, &dispatched);
-    simd::MulLimbSpansPortable(a, b, &portable);
-    ASSERT_EQ(dispatched, portable);
-    ASSERT_EQ(FromLimbs(dispatched), FromLimbs(a) * FromLimbs(b));
-  }
-  // Zero-length operands: empty product, both paths.
-  simd::MulLimbSpans({}, backing, &dispatched);
-  EXPECT_TRUE(dispatched.empty());
-  simd::MulLimbSpansPortable(backing, {}, &portable);
-  EXPECT_TRUE(portable.empty());
-}
-
-TEST(SimdKernels, HighProductMatchesPortableAndFullAtCutZero) {
-  Rng rng(107);
-  std::vector<Limb> dispatched, portable, full;
-  for (int trial = 0; trial < 300; ++trial) {
-    const std::size_t na = 1 + rng.Below(48);
-    const std::size_t nb = 1 + rng.Below(48);
-    std::vector<Limb> a = RandomLimbs(rng, na, trial % 4 == 0 ? 30 : 0);
-    std::vector<Limb> b = RandomLimbs(rng, nb, 0);
-    // Random cut across the whole column range (including past the end,
-    // where the product has no columns left and the result is empty).
-    const std::size_t cut = rng.Below(na + nb + 2);
-    simd::MulLimbSpansHigh(a, b, cut, &dispatched);
-    simd::MulLimbSpansHighPortable(a, b, cut, &portable);
-    ASSERT_EQ(dispatched, portable)
-        << "trial " << trial << " cut " << cut;
-    if (cut == 0) {
-      simd::MulLimbSpans(a, b, &full);
-      ASSERT_EQ(dispatched, full);
-    }
-  }
-}
-
-TEST(SimdKernels, LowProductIsExactTruncatedProduct) {
-  Rng rng(109);
-  std::vector<Limb> dispatched, portable, full;
-  for (int trial = 0; trial < 300; ++trial) {
-    const std::size_t na = 1 + rng.Below(48);
-    const std::size_t nb = 1 + rng.Below(48);
-    std::vector<Limb> a = RandomLimbs(rng, na, trial % 4 == 0 ? 30 : 0);
-    std::vector<Limb> b = RandomLimbs(rng, nb, 0);
-    const std::size_t width = rng.Below(na + nb + 4);
-    simd::MulLimbSpansLow(a, b, width, &dispatched);
-    simd::MulLimbSpansLowPortable(a, b, width, &portable);
-    ASSERT_EQ(dispatched, portable)
-        << "trial " << trial << " width " << width;
-    // Ground truth: the full product truncated to `width` limbs.
-    simd::MulLimbSpans(a, b, &full);
-    if (full.size() > width) full.resize(width);
-    while (!full.empty() && full.back() == 0) full.pop_back();
-    ASSERT_EQ(dispatched, full) << "trial " << trial << " width " << width;
-  }
 }
 
 TEST(SimdKernels, ChunkResiduesMatchModU64) {
@@ -199,7 +86,7 @@ TEST(SimdKernels, DispatchOverrideRoundTrips) {
 
 /// One deterministic pool of (divisor, dividend) pairs that stresses every
 /// engine strategy and the Montgomery edge cases: word-sized through
-/// Barrett-sized divisors; even divisors and pure powers of two (the
+/// 17-limb divisors; even divisors and pure powers of two (the
 /// 2^e * odd split); dividends shorter than, equal to, and far wider than
 /// the divisor; exact multiples and off-by-one near-multiples.
 std::vector<std::pair<BigInt, BigInt>> EnginePairs() {
@@ -234,74 +121,90 @@ std::vector<std::pair<BigInt, BigInt>> EnginePairs() {
   return pairs;
 }
 
+/// The divisor's magnitude followed by `pad` zero high limbs — the
+/// non-minimal span shape ReciprocalDivisor::Assign(LimbSpan) must strip.
+std::vector<std::uint64_t> PaddedMagnitude(const BigInt& value,
+                                           std::size_t pad) {
+  std::vector<std::uint64_t> limbs(value.Magnitude().begin(),
+                                   value.Magnitude().end());
+  limbs.resize(limbs.size() + pad, 0);
+  return limbs;
+}
+
 TEST(SimdKernels, ReciprocalDivisorScalarVsVectorBitIdentical) {
-  ReciprocalDivisor vec_rd, scalar_rd;
+  ReciprocalDivisor vec_rd, scalar_rd, span_rd;
   for (const auto& [divisor, dividend] : EnginePairs()) {
     vec_rd.Assign(divisor);
     const bool vec_divides = vec_rd.Divides(dividend);
-    const BigInt vec_mod = vec_rd.Mod(dividend);
     simd::SetActiveIsa(simd::Isa::kScalar);
     scalar_rd.Assign(divisor);
     const bool scalar_divides = scalar_rd.Divides(dividend);
-    const BigInt scalar_mod = scalar_rd.Mod(dividend);
     simd::ResetActiveIsa();
     ASSERT_EQ(vec_divides, scalar_divides)
         << divisor << " | " << dividend;
-    ASSERT_EQ(vec_mod, scalar_mod) << dividend << " mod " << divisor;
-    // And both against the BigInt ground truth.
-    ASSERT_EQ(vec_divides, dividend.IsDivisibleBy(divisor));
-    ASSERT_EQ(vec_mod, dividend % divisor);
-  }
-}
-
-TEST(SimdKernels, ReferenceEngineMatchesOptimizedEngine) {
-  ReciprocalDivisor opt_rd, ref_rd;
-  for (const auto& [divisor, dividend] : EnginePairs()) {
-    opt_rd.Assign(divisor);
-    const bool opt_divides = opt_rd.Divides(dividend);
-    const BigInt opt_mod = opt_rd.Mod(dividend);
-    ReciprocalDivisor::SetReferenceEngineForTest(true);
-    ref_rd.Assign(divisor);
-    const bool ref_divides = ref_rd.Divides(dividend);
-    const BigInt ref_mod = ref_rd.Mod(dividend);
-    ReciprocalDivisor::SetReferenceEngineForTest(false);
-    ASSERT_EQ(opt_divides, ref_divides) << divisor << " | " << dividend;
-    ASSERT_EQ(opt_mod, ref_mod) << dividend << " mod " << divisor;
-    ASSERT_EQ(opt_divides, dividend.IsDivisibleBy(divisor));
+    // The BigInt ground truth.
+    const bool truth = dividend.IsDivisibleBy(divisor);
+    ASSERT_EQ(vec_divides, truth) << divisor << " | " << dividend;
+    // The span front door (the arena path): the constants are built from
+    // the limbs directly, with and without zero high limbs on the divisor.
+    span_rd.Assign(divisor.Magnitude());
+    ASSERT_EQ(span_rd.Divides(dividend.Magnitude()), truth)
+        << divisor << " | " << dividend;
+    const std::vector<std::uint64_t> padded = PaddedMagnitude(divisor, 2);
+    span_rd.Assign(LimbSpan(padded));
+    ASSERT_EQ(span_rd.Divides(dividend.Magnitude()), truth)
+        << divisor << " (padded) | " << dividend;
   }
 }
 
 TEST(SimdKernels, DividesBatchMatchesScalarDivides) {
   // Batches of 1..4 dividends against one cached divisor, under vector
-  // and pinned-scalar dispatch, vs per-dividend Divides: all four answers
+  // and pinned-scalar dispatch, vs per-dividend Divides: all answers
   // must agree bit-for-bit. EnginePairs supplies mixed widths, so batches
   // mix REDC-lane survivors with fingerprint-free screen outs (shorter
-  // dividends, trailing-zero mismatches, zero).
+  // dividends, trailing-zero mismatches, zero). A second divisor cache
+  // takes the span front door (the arena path) — every other anchor
+  // through a span carrying zero high limbs — and answers span batches.
   const auto pairs = EnginePairs();
-  ReciprocalDivisor rd;
+  ReciprocalDivisor rd, span_rd;
   for (std::size_t start = 0; start + simd::kRedcLanes <= pairs.size();
        start += simd::kRedcLanes) {
     const BigInt& divisor = pairs[start].first;
     rd.Assign(divisor);
+    const std::vector<std::uint64_t> padded =
+        PaddedMagnitude(divisor, (start / simd::kRedcLanes) % 2);
+    span_rd.Assign(LimbSpan(padded));
     for (std::size_t count = 1; count <= simd::kRedcLanes; ++count) {
       const BigInt* batch[simd::kRedcLanes];
+      LimbSpan spans[simd::kRedcLanes];
       bool expected[simd::kRedcLanes];
       for (std::size_t k = 0; k < count; ++k) {
         batch[k] = &pairs[start + k].second;
+        spans[k] = batch[k]->Magnitude();
         expected[k] = rd.Divides(*batch[k]);
       }
       bool vec_out[simd::kRedcLanes];
       rd.DividesBatch(std::span<const BigInt* const>(batch, count), vec_out);
+      bool span_vec_out[simd::kRedcLanes];
+      span_rd.DividesBatch(std::span<const LimbSpan>(spans, count),
+                           span_vec_out);
       bool scalar_out[simd::kRedcLanes];
+      bool span_scalar_out[simd::kRedcLanes];
       simd::SetActiveIsa(simd::Isa::kScalar);
       rd.DividesBatch(std::span<const BigInt* const>(batch, count),
                       scalar_out);
+      span_rd.DividesBatch(std::span<const LimbSpan>(spans, count),
+                           span_scalar_out);
       simd::ResetActiveIsa();
       for (std::size_t k = 0; k < count; ++k) {
         ASSERT_EQ(vec_out[k], expected[k])
             << "lane " << k << "/" << count << " divisor " << divisor;
         ASSERT_EQ(scalar_out[k], expected[k])
             << "lane " << k << "/" << count << " divisor " << divisor;
+        ASSERT_EQ(span_vec_out[k], expected[k])
+            << "span lane " << k << "/" << count << " divisor " << divisor;
+        ASSERT_EQ(span_scalar_out[k], expected[k])
+            << "span lane " << k << "/" << count << " divisor " << divisor;
         ASSERT_EQ(expected[k], batch[k]->IsDivisibleBy(divisor));
       }
     }
