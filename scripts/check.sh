@@ -4,7 +4,9 @@
 # suite, a ThreadSanitizer build running the parallel/concurrency
 # suites (the parallel labeler, SC-table build, the batch-query kernels
 # issued from concurrent threads, the worker-thread join executor, and
-# the epoch reader/writer protocol, and the snapshot/service layer), a
+# the epoch reader/writer protocol, and the snapshot/service layer), an
+# ASan+UBSan build running the decoder, arena, SC-table, recovery and
+# wire-fuzz suites, a
 # durability leg (the fault-injection suite, a crash-recovery soak with
 # real mid-stream process kills, and a fault-matrix sweep over several
 # workload seeds), and a service leg (query_server over a Unix socket
@@ -18,7 +20,8 @@
 #
 # Usage: scripts/check.sh [--no-tsan] [--no-scalar] [--no-durability]
 #                          [--no-service] [--no-bench] [--no-chaos]
-#   --no-tsan        skip the sanitizer tree (e.g. toolchains without TSan)
+#   --no-tsan        skip the sanitizer trees (TSan, ASan+UBSan; e.g.
+#                    toolchains without the sanitizer runtimes)
 #   --no-scalar      skip the -DPRIMELABEL_DISABLE_SIMD=ON tree
 #   --no-durability  skip the durability suite + crash loop
 #   --no-service     skip the query-server smoke + kill + bench leg
@@ -83,7 +86,10 @@ if [[ "$run_service" == "1" ]]; then
   svc_pid=$!
   for _ in $(seq 1 100); do [[ -S "$svc_sock" ]] && break; sleep 0.1; done
   [[ -S "$svc_sock" ]] || { echo "query_server never bound $svc_sock" >&2; exit 1; }
-  build/examples/query_client "$svc_sock" --smoke
+  smoke_out=$(build/examples/query_client "$svc_sock" --smoke)
+  echo "$smoke_out"
+  grep -q "MODE arena" <<<"$smoke_out" \
+    || { echo "quiescent server did not serve its sealed epoch arena-backed" >&2; exit 1; }
   # Planner EXPLAIN smoke: the compiled operator tree for a position
   # query must surface the scan, the join, the position filter and the
   # order restore, each with cardinalities.
@@ -97,8 +103,8 @@ if [[ "$run_service" == "1" ]]; then
   wait "$svc_pid" 2>/dev/null || true
   rm -f "$svc_sock"
   # Then: a background writer committing and checkpointing while clients
-  # read pinned snapshots (the smoke's STATS check now expects the heap
-  # view, since snapshots pin a journal tail).
+  # read pinned snapshots (the smoke's STATS check expects the heap view
+  # whenever the snapshot pins a journal tail or a delta epoch).
   build/examples/query_server serve "$svc_store" "$svc_sock" 200 2 &
   svc_pid=$!
   for _ in $(seq 1 100); do [[ -S "$svc_sock" ]] && break; sleep 0.1; done
@@ -231,6 +237,17 @@ if [[ "$run_tsan" == "1" ]]; then
   cmake --build build-tsan -j "$jobs"
   ctest --test-dir build-tsan --output-on-failure -j "$jobs" \
     -R 'Parallel|Epoch|Concurrent|Service|Snapshot|Planner|Chaos|Drain|Deadline'
+
+  echo "== asan+ubsan: decoders, arena and wire fuzz (build-asan/) =="
+  # The catalog/delta/arena decoders, the SC-table adoption checks, WAL
+  # recovery and the malformed-wire battery parse untrusted bytes out of
+  # files, mmap and sockets. UBSan reports are made fatal so they fail
+  # the test instead of scrolling past.
+  cmake -B build-asan -S . -DPRIMELABEL_SANITIZE=address,undefined >/dev/null
+  cmake --build build-asan -j "$jobs"
+  UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
+    ctest --test-dir build-asan --output-on-failure -j "$jobs" \
+    -R 'Catalog|Delta|Arena|ScTable|Crt|DurabilityRecovery|ServiceChaos'
 fi
 
 echo "All checks passed."

@@ -1,5 +1,6 @@
 #include "core/crt.h"
 
+#include <atomic>
 #include <numeric>
 
 #include "bigint/reduction.h"
@@ -9,6 +10,8 @@ namespace primelabel {
 namespace {
 
 using U128 = unsigned __int128;
+
+std::atomic<std::uint64_t> g_crt_solve_count{0};
 
 Status ValidateSystem(const std::vector<Congruence>& congruences) {
   if (congruences.empty()) {
@@ -88,7 +91,12 @@ Result<BigInt> SolveCrt(const std::vector<Congruence>& congruences) {
   return solution.EuclideanMod(product);
 }
 
+std::uint64_t CrtSolveCount() {
+  return g_crt_solve_count.load(std::memory_order_relaxed);
+}
+
 Result<BigInt> SolveCrtFast(const std::vector<Congruence>& congruences) {
+  g_crt_solve_count.fetch_add(1, std::memory_order_relaxed);
   Status valid = ValidateSystem(congruences);
   if (!valid.ok()) return valid;
 

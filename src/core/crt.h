@@ -36,6 +36,13 @@ Result<BigInt> SolveCrt(const std::vector<Congruence>& congruences);
 /// in [0, C) — with the same preconditions and error behavior.
 Result<BigInt> SolveCrtFast(const std::vector<Congruence>& congruences);
 
+/// Number of SolveCrtFast calls since process start — the solves the SC
+/// table pays for on inserts, deletes and unverifiable loads. Load paths
+/// are required to adopt the persisted SC values instead; tests assert
+/// that by differencing this counter around an open. Monotone,
+/// thread-safe, test/diagnostic use only.
+std::uint64_t CrtSolveCount();
+
 /// The paper's own construction via Euler's totient:
 /// x = sum_i (C/m_i)^phi(m_i) * n_i mod C. Provided for fidelity and used
 /// by tests to cross-check SolveCrt. Same preconditions.

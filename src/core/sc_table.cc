@@ -12,9 +12,48 @@ ScTable::ScTable(int group_size) : group_size_(group_size) {
   PL_CHECK(group_size_ >= 1);
 }
 
+namespace {
+
+/// True when `record.sc` is the canonical CRT solution of its pairs: every
+/// order below its modulus, `sc mod m_i == order_i` for every i (one word
+/// remainder each), and `0 <= sc < prod(moduli)`. The solution in that
+/// range is unique, so a passing value is exactly what SolveCrtFast would
+/// return. `product` is scratch for the limbs of prod(moduli).
+bool HoldsCanonicalSolution(const ScRecord& record,
+                            std::vector<std::uint64_t>* product) {
+  if (record.sc.Sign() < 0) return false;
+  for (std::size_t i = 0; i < record.moduli.size(); ++i) {
+    if (record.moduli[i] < 2 || record.orders[i] >= record.moduli[i] ||
+        record.sc.ModU64(record.moduli[i]) != record.orders[i]) {
+      return false;
+    }
+  }
+  // prod(moduli) by one-limb multiply-accumulate passes; moduli are full
+  // 64-bit words, so this never goes through a signed BigInt.
+  product->assign(1, 1);
+  for (std::uint64_t m : record.moduli) {
+    unsigned __int128 carry = 0;
+    for (std::uint64_t& limb : *product) {
+      carry += static_cast<unsigned __int128>(limb) * m;
+      limb = static_cast<std::uint64_t>(carry);
+      carry >>= 64;
+    }
+    if (carry != 0) product->push_back(static_cast<std::uint64_t>(carry));
+  }
+  const auto sc = record.sc.Magnitude();
+  if (sc.size() != product->size()) return sc.size() < product->size();
+  for (std::size_t i = sc.size(); i-- > 0;) {
+    if (sc[i] != (*product)[i]) return sc[i] < (*product)[i];
+  }
+  return false;  // sc == prod(moduli)
+}
+
+}  // namespace
+
 ScTable ScTable::FromRecords(int group_size, std::vector<ScRecord> records) {
   ScTable table(group_size);
   table.records_ = std::move(records);
+  std::vector<std::uint64_t> product;
   for (std::size_t r = 0; r < table.records_.size(); ++r) {
     ScRecord& record = table.records_[r];
     PL_CHECK(record.moduli.size() == record.orders.size());
@@ -22,7 +61,13 @@ ScTable ScTable::FromRecords(int group_size, std::vector<ScRecord> records) {
       table.index_[record.moduli[i]] = {r, i};
       table.max_order_ = std::max(table.max_order_, record.orders[i]);
     }
-    if (!record.moduli.empty()) table.Recompute(r);
+    if (record.moduli.empty()) continue;
+    if (HoldsCanonicalSolution(record, &product)) {
+      record.max_modulus =
+          *std::max_element(record.moduli.begin(), record.moduli.end());
+    } else {
+      table.Recompute(r);
+    }
   }
   return table;
 }

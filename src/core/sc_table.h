@@ -53,8 +53,13 @@ class ScTable {
   explicit ScTable(int group_size = 5);
 
   /// Reconstructs a table from previously persisted records (the catalog's
-  /// load path). Records are adopted as-is; SC values are recomputed to
-  /// verify consistency.
+  /// load path). A record's persisted SC value is adopted when it is the
+  /// canonical CRT solution of its pairs — every order below its modulus,
+  /// `sc mod m == order` for each modulus, `0 <= sc < prod(moduli)` — and
+  /// recomputed otherwise (records decoded without a value, or a value
+  /// that fails any check). The solution in that range is unique, so the
+  /// table equals a full recompute either way; a wrong stored value is
+  /// healed, never trusted.
   static ScTable FromRecords(int group_size, std::vector<ScRecord> records);
 
   /// Builds the table from the nodes' self-labels in document order:

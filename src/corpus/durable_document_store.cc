@@ -69,9 +69,9 @@ DurableDocumentStore::DurableDocumentStore(std::string dir,
       vfs_(vfs),
       registry_(std::make_shared<EpochRegistry>(vfs, dir_)) {}
 
-void DurableDocumentStore::ResetBaseIndex(const std::vector<CatalogRow>& rows,
+void DurableDocumentStore::ResetBaseIndex(BaseRowIndex rows_index,
                                           const ScTable& sc_table) {
-  base_index_ = BuildBaseRowIndex(rows);
+  base_index_ = std::move(rows_index);
   base_sc_hashes_ = ScRecordHashes(sc_table);
 }
 
@@ -86,16 +86,19 @@ Result<DurableDocumentStore::EpochChain> DurableDocumentStore::LoadEpochChain(
   for (int depth = 0; depth <= 64; ++depth) {
     const std::string snapshot_path = EpochSnapshotPath(dir, at);
     if (vfs.Exists(snapshot_path)) {
-      Result<LoadedCatalog> catalog = LoadCatalog(vfs, snapshot_path);
-      if (!catalog.ok()) return catalog.status();
+      Result<CatalogContents> state = ReadCatalogContents(vfs, snapshot_path);
+      if (!state.ok()) return state.status();
       chain.links.push_back({at, false, 0});
-      chain.state.fingerprints_valid = catalog->fingerprints_persisted();
-      chain.state.sc_table = catalog->TakeScTable();
-      chain.state.rows = catalog->TakeRows();
       for (auto it = deltas.rbegin(); it != deltas.rend(); ++it) {
-        Status applied = ApplyDelta(*it, &chain.state);
+        Status applied = ApplyDelta(*it, &state.value());
         if (!applied.ok()) return applied;
       }
+      // The links only overlaid SC records: index and verify them once,
+      // for the whole chain, adopting the values the files carry.
+      chain.rows = std::move(state->rows);
+      chain.sc_table = ScTable::FromRecords(state->sc_group_size,
+                                            std::move(state->sc_records));
+      chain.fingerprints_valid = state->fingerprints_persisted;
       return chain;
     }
     const std::string delta_path = EpochDeltaPath(dir, at);
@@ -168,7 +171,8 @@ Result<DurableDocumentStore> DurableDocumentStore::Create(
 
   DurableDocumentStore store(dir, std::move(doc.value()),
                              std::move(wal.value()), epoch, options, &vfs);
-  store.ResetBaseIndex(rows, store.doc_.scheme().sc_table());
+  store.ResetBaseIndex(BuildBaseRowIndex(rows),
+                       store.doc_.scheme().sc_table());
   store.registry_->Publish(epoch, /*is_delta=*/false, 0);
   store.registry_->SetDurableBytes(store.wal_.committed_bytes());
   return store;
@@ -186,13 +190,13 @@ Result<DurableDocumentStore> DurableDocumentStore::Open(
   // The diff base for delta checkpoints is the epoch's on-disk state,
   // BEFORE journal replay: the next delta must carry everything the
   // journal held.
-  BaseRowIndex base_index = BuildBaseRowIndex(chain->state.rows);
+  BaseRowIndex base_index = BuildBaseRowIndex(chain->rows);
   std::vector<std::uint64_t> base_sc_hashes =
-      ScRecordHashes(chain->state.sc_table);
+      ScRecordHashes(chain->sc_table);
 
   Result<LabeledDocument> doc = LabeledDocument::FromCatalogRows(
-      std::move(chain->state.rows), std::move(chain->state.sc_table),
-      chain->state.fingerprints_valid,
+      std::move(chain->rows), std::move(chain->sc_table),
+      chain->fingerprints_valid,
       "store '" + dir + "' epoch " + std::to_string(*epoch));
   if (!doc.ok()) return doc.status();
 
@@ -277,8 +281,8 @@ void DurableDocumentStore::EnterQuarantine(const Status& cause) {
   Result<EpochChain> chain = LoadEpochChain(*vfs_, dir_, epoch_);
   if (chain.ok()) {
     Result<LabeledDocument> doc = LabeledDocument::FromCatalogRows(
-        std::move(chain->state.rows), std::move(chain->state.sc_table),
-        chain->state.fingerprints_valid, "quarantine rollback of '" + dir_ +
+        std::move(chain->rows), std::move(chain->sc_table),
+        chain->fingerprints_valid, "quarantine rollback of '" + dir_ +
                                              "' epoch " +
                                              std::to_string(epoch_));
     if (doc.ok()) {
@@ -419,13 +423,15 @@ Status DurableDocumentStore::Checkpoint() {
   std::vector<CatalogRow> rows = doc_.ToCatalogRows();
   const ScTable& sc_table = doc_.scheme().sc_table();
 
-  bool as_delta =
+  const bool diffed =
       options_.delta_checkpoints && chain_len_ < options_.max_delta_chain;
+  bool as_delta = diffed;
   DeltaSnapshot delta;
-  if (as_delta) {
+  BaseRowIndex next_base_index;
+  if (diffed) {
     // Live rows always carry valid fingerprints, so patches are adoptable.
     delta = BuildDelta(epoch_, base_index_, base_sc_hashes_, rows, sc_table,
-                       /*fingerprints=*/true);
+                       /*fingerprints=*/true, &next_base_index);
     const double changed =
         rows.empty() ? 1.0
                      : static_cast<double>(delta.patches.size() +
@@ -451,7 +457,10 @@ Status DurableDocumentStore::Checkpoint() {
   wal_ = std::move(wal.value());
   epoch_ = next;
   chain_len_ = as_delta ? chain_len_ + 1 : 0;
-  ResetBaseIndex(rows, sc_table);
+  // BuildDelta already indexed the final rows; only a checkpoint that
+  // never diffed hashes them here.
+  ResetBaseIndex(diffed ? std::move(next_base_index) : BuildBaseRowIndex(rows),
+                 sc_table);
   registry_->Publish(next, as_delta, old);
   registry_->SetDurableBytes(wal_.committed_bytes());
   return Status::Ok();
@@ -465,8 +474,8 @@ Result<LabeledDocument> DurableDocumentStore::MaterializePinned(
   Result<EpochChain> chain = LoadEpochChain(*vfs_, dir_, pin.epoch());
   if (!chain.ok()) return chain.status();
   Result<LabeledDocument> doc = LabeledDocument::FromCatalogRows(
-      std::move(chain->state.rows), std::move(chain->state.sc_table),
-      chain->state.fingerprints_valid,
+      std::move(chain->rows), std::move(chain->sc_table),
+      chain->fingerprints_valid,
       "pinned epoch " + std::to_string(pin.epoch()) + " of store '" + dir_ +
           "'");
   if (!doc.ok()) return doc.status();

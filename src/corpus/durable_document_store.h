@@ -54,6 +54,9 @@ class Snapshot {
   /// The pin backing this snapshot (tests re-materialize through it to
   /// prove cached views are bit-identical to a fresh rebuild).
   const EpochPin& pin() const { return pin_; }
+  /// True when the snapshot's epoch is stored as a delta, which is always
+  /// served from a heap view (arena views need a full snapshot).
+  bool delta_epoch() const { return pin_.is_delta(); }
 
   /// The frozen document. Arena-backed views materialize it lazily on
   /// first call (thread-safe, at most once); query paths never need it.
@@ -309,7 +312,10 @@ class DurableDocumentStore {
   /// Resolved state of one epoch's snapshot/delta chain, before journal
   /// replay, plus the chain links for registry bookkeeping.
   struct EpochChain {
-    CatalogState state;
+    std::vector<CatalogRow> rows;  ///< preorder, parent by row index
+    ScTable sc_table;
+    /// The rows carry fingerprints valid for this binary's config.
+    bool fingerprints_valid = false;
     struct Link {
       std::uint64_t epoch = 0;
       bool is_delta = false;
@@ -337,11 +343,10 @@ class DurableDocumentStore {
   Result<std::shared_ptr<const EpochView>> MaterializeView(
       const EpochPin& pin) const;
 
-  /// Rebuilds the base diff index from the rows/SC state the current
+  /// Installs the base diff index of the rows/SC state the current
   /// epoch's files hold (pre-replay at Open, post-checkpoint state at
-  /// Checkpoint).
-  void ResetBaseIndex(const std::vector<CatalogRow>& rows,
-                      const ScTable& sc_table);
+  /// Checkpoint): `rows_index` is BuildBaseRowIndex of those rows.
+  void ResetBaseIndex(BaseRowIndex rows_index, const ScTable& sc_table);
 
   /// Enters read-only quarantine: discards un-committed journal frames,
   /// rolls the in-memory document back to the last durable state (chain +

@@ -151,12 +151,13 @@ Result<LabeledDocument> LabeledDocument::FromCatalogRows(
 
 Result<LabeledDocument> LabeledDocument::Load(Vfs& vfs,
                                               const std::string& path) {
-  Result<LoadedCatalog> loaded = LoadCatalog(vfs, path);
-  if (!loaded.ok()) return loaded.status();
-  const bool fingerprints_valid = loaded->fingerprints_persisted();
-  ScTable sc_table = loaded->TakeScTable();
-  return FromCatalogRows(loaded->TakeRows(), std::move(sc_table),
-                         fingerprints_valid, "catalog '" + path + "'");
+  Result<CatalogContents> contents = ReadCatalogContents(vfs, path);
+  if (!contents.ok()) return contents.status();
+  return FromCatalogRows(std::move(contents->rows),
+                         ScTable::FromRecords(contents->sc_group_size,
+                                              std::move(contents->sc_records)),
+                         contents->fingerprints_persisted,
+                         "catalog '" + path + "'");
 }
 
 Status SaveCatalog(const std::string& path, const LabeledDocument& doc) {

@@ -44,25 +44,45 @@ std::uint64_t CatalogRowHash(const CatalogRow& row,
     FnvU64(&h, value.size());
     FnvBytes(&h, value.data(), value.size());
   }
-  const std::vector<std::uint8_t> label = row.label.ToMagnitudeBytes();
-  FnvU64(&h, label.size());
-  FnvBytes(&h, label.data(), label.size());
+  // The label's minimal little-endian magnitude bytes (the
+  // ToMagnitudeBytes image every file persists), read off the limbs.
+  const std::span<const std::uint64_t> limbs = row.label.Magnitude();
+  const std::size_t label_bytes =
+      (static_cast<std::size_t>(row.label.BitLength()) + 7) / 8;
+  FnvU64(&h, label_bytes);
+  for (std::size_t i = 0; i < label_bytes; ++i) {
+    h ^= static_cast<std::uint8_t>(limbs[i / 8] >> (8 * (i % 8)));
+    h *= kFnvPrime;
+  }
   FnvU64(&h, row.self);
   FnvU64(&h, parent_self);
   // The fingerprint is derived from the label and deliberately excluded.
   return h;
 }
 
-std::uint64_t CatalogRowsDigest(const std::vector<CatalogRow>& rows) {
+namespace {
+
+std::uint64_t ParentSelf(const std::vector<CatalogRow>& rows,
+                         const CatalogRow& row) {
+  return row.parent < 0 ? 0 : rows[static_cast<std::size_t>(row.parent)].self;
+}
+
+std::uint64_t DigestOfRowHashes(const std::vector<std::uint64_t>& hashes) {
   std::uint64_t h = kFnvOffset;
-  FnvU64(&h, rows.size());
-  for (const CatalogRow& row : rows) {
-    const std::uint64_t parent_self =
-        row.parent < 0 ? 0
-                       : rows[static_cast<std::size_t>(row.parent)].self;
-    FnvU64(&h, CatalogRowHash(row, parent_self));
-  }
+  FnvU64(&h, hashes.size());
+  for (std::uint64_t row_hash : hashes) FnvU64(&h, row_hash);
   return h;
+}
+
+}  // namespace
+
+std::uint64_t CatalogRowsDigest(const std::vector<CatalogRow>& rows) {
+  std::vector<std::uint64_t> hashes;
+  hashes.reserve(rows.size());
+  for (const CatalogRow& row : rows) {
+    hashes.push_back(CatalogRowHash(row, ParentSelf(rows, row)));
+  }
+  return DigestOfRowHashes(hashes);
 }
 
 std::uint64_t ScRecordHash(const ScRecord& record) {
@@ -79,9 +99,7 @@ BaseRowIndex BuildBaseRowIndex(const std::vector<CatalogRow>& rows) {
   BaseRowIndex index;
   index.reserve(rows.size());
   for (const CatalogRow& row : rows) {
-    const std::uint64_t parent_self =
-        row.parent < 0 ? 0
-                       : rows[static_cast<std::size_t>(row.parent)].self;
+    const std::uint64_t parent_self = ParentSelf(rows, row);
     index[row.self] = BaseRowEntry{CatalogRowHash(row, parent_self),
                                    parent_self};
   }
@@ -101,11 +119,11 @@ DeltaSnapshot BuildDelta(std::uint64_t base_epoch,
                          const BaseRowIndex& base_index,
                          const std::vector<std::uint64_t>& base_sc_hashes,
                          const std::vector<CatalogRow>& final_rows,
-                         const ScTable& final_sc, bool fingerprints) {
+                         const ScTable& final_sc, bool fingerprints,
+                         BaseRowIndex* next_base_index) {
   DeltaSnapshot delta;
   delta.base_epoch = base_epoch;
   delta.final_row_count = final_rows.size();
-  delta.final_digest = CatalogRowsDigest(final_rows);
   delta.fingerprints = fingerprints;
 
   // Final-side structure: children lists + per-row predecessor sibling.
@@ -127,9 +145,19 @@ DeltaSnapshot BuildDelta(std::uint64_t base_epoch,
     }
   }
 
-  std::unordered_map<std::uint64_t, bool> final_selves;
-  final_selves.reserve(final_rows.size());
-  for (const CatalogRow& row : final_rows) final_selves[row.self] = true;
+  // Every final row is hashed exactly once: the digest, the diff and the
+  // next checkpoint's base index all read these.
+  std::vector<std::uint64_t> row_hashes(final_rows.size());
+  for (std::size_t i = 0; i < final_rows.size(); ++i) {
+    row_hashes[i] = CatalogRowHash(final_rows[i], parent_self[i]);
+  }
+  delta.final_digest = DigestOfRowHashes(row_hashes);
+  next_base_index->clear();
+  next_base_index->reserve(final_rows.size());
+  for (std::size_t i = 0; i < final_rows.size(); ++i) {
+    (*next_base_index)[final_rows[i].self] =
+        BaseRowEntry{row_hashes[i], parent_self[i]};
+  }
 
   for (std::size_t i = 0; i < final_rows.size(); ++i) {
     const CatalogRow& row = final_rows[i];
@@ -138,8 +166,7 @@ DeltaSnapshot BuildDelta(std::uint64_t base_epoch,
     if (base == base_index.end()) {
       flags = kDeltaPatchNew;
     } else {
-      const std::uint64_t hash = CatalogRowHash(row, parent_self[i]);
-      if (hash == base->second.hash) continue;  // unchanged
+      if (row_hashes[i] == base->second.hash) continue;  // unchanged
       if (base->second.parent_self != parent_self[i]) {
         flags = kDeltaPatchMoved;
       }
@@ -158,10 +185,10 @@ DeltaSnapshot BuildDelta(std::uint64_t base_epoch,
   // deleted node survives: Delete detaches subtrees, and an SC-relabeled
   // victim's surviving children show up above as moved patches).
   for (const auto& [self, entry] : base_index) {
-    if (final_selves.count(self) != 0) continue;
-    const bool parent_also_gone = entry.parent_self != 0 &&
-                                  base_index.count(entry.parent_self) != 0 &&
-                                  final_selves.count(entry.parent_self) == 0;
+    if (next_base_index->count(self) != 0) continue;
+    const bool parent_also_gone =
+        entry.parent_self != 0 && base_index.count(entry.parent_self) != 0 &&
+        next_base_index->count(entry.parent_self) == 0;
     if (!parent_also_gone) delta.tombstones.push_back(self);
   }
   std::sort(delta.tombstones.begin(), delta.tombstones.end());
@@ -329,7 +356,7 @@ class ApplyContext {
 
 }  // namespace
 
-Status ApplyDelta(const DeltaSnapshot& delta, CatalogState* state) {
+Status ApplyDelta(const DeltaSnapshot& delta, CatalogContents* state) {
   ApplyContext ctx;
   ctx.pool_.reserve(state->rows.size() + delta.patches.size());
   for (std::size_t i = 0; i < state->rows.size(); ++i) {
@@ -438,7 +465,7 @@ Status ApplyDelta(const DeltaSnapshot& delta, CatalogState* state) {
 
   // SC overlay: the record vector is append-only, so the final count can
   // only grow and changed records are addressed by index.
-  std::vector<ScRecord> records = state->sc_table.records();
+  std::vector<ScRecord>& records = state->sc_records;
   if (delta.sc_final_record_count < records.size()) {
     return Status::Internal("delta apply: SC record count shrank");
   }
@@ -450,10 +477,9 @@ Status ApplyDelta(const DeltaSnapshot& delta, CatalogState* state) {
     records[index] = record;
   }
   state->rows = std::move(final_rows);
-  state->sc_table =
-      ScTable::FromRecords(delta.sc_group_size, std::move(records));
-  state->fingerprints_valid =
-      state->fingerprints_valid && delta.fingerprints;
+  state->sc_group_size = delta.sc_group_size;
+  state->fingerprints_persisted =
+      state->fingerprints_persisted && delta.fingerprints;
   return Status::Ok();
 }
 

@@ -96,12 +96,15 @@ struct DeltaSnapshot {
 };
 
 /// Diffs the final state against the base epoch's hash index and builds
-/// the delta description.
+/// the delta description. Fills `next_base_index` with the final rows'
+/// index — equal to BuildBaseRowIndex(final_rows), from the hashes the
+/// diff computed anyway — for the checkpoint that follows.
 DeltaSnapshot BuildDelta(std::uint64_t base_epoch,
                          const BaseRowIndex& base_index,
                          const std::vector<std::uint64_t>& base_sc_hashes,
                          const std::vector<CatalogRow>& final_rows,
-                         const ScTable& final_sc, bool fingerprints);
+                         const ScTable& final_sc, bool fingerprints,
+                         BaseRowIndex* next_base_index);
 
 /// Serializes a delta ("PLDELTA1" + body + trailing CRC-32 of everything
 /// before it).
@@ -111,19 +114,15 @@ std::vector<std::uint8_t> EncodeDelta(const DeltaSnapshot& delta);
 Result<DeltaSnapshot> DecodeDelta(std::span<const std::uint8_t> bytes,
                                   const std::string& origin);
 
-/// A catalog-equivalent state deltas apply to / produce.
-struct CatalogState {
-  std::vector<CatalogRow> rows;  ///< preorder, parent by row index
-  ScTable sc_table;
-  bool fingerprints_valid = false;
-};
-
-/// Applies `delta` to `state` (the loaded base epoch), leaving the final
-/// epoch's state. Verifies the final row count and digest recorded in the
-/// delta; any mismatch — a patch that does not fit, an anchor that does
-/// not exist, a digest difference — is kInternal, never a silent
-/// divergence.
-Status ApplyDelta(const DeltaSnapshot& delta, CatalogState* state);
+/// Applies `delta` to `state` (the decoded base epoch, or an earlier link
+/// of the chain), leaving the final epoch's rows and SC records. Verifies
+/// the final row count and digest recorded in the delta; any mismatch — a
+/// patch that does not fit, an anchor that does not exist, a digest
+/// difference, an SC record count that shrank or a change index out of
+/// range — is kInternal, never a silent divergence. The SC records are
+/// only overlaid, not indexed: a chain builds its ScTable once, after its
+/// last link (ScTable::FromRecords adopts the values the files carry).
+Status ApplyDelta(const DeltaSnapshot& delta, CatalogContents* state);
 
 }  // namespace primelabel
 

@@ -24,6 +24,7 @@ EpochPin& EpochPin::operator=(EpochPin&& other) noexcept {
     id_ = other.id_;
     epoch_ = other.epoch_;
     journal_bytes_ = other.journal_bytes_;
+    is_delta_ = other.is_delta_;
     other.registry_.reset();
     other.id_ = 0;
   }
@@ -99,6 +100,8 @@ EpochPin EpochRegistry::Pin(std::shared_ptr<EpochRegistry> self) {
   pin.id_ = next_pin_id_++;
   pin.epoch_ = current_;
   pin.journal_bytes_ = durable_bytes_;
+  auto info = epochs_.find(current_);
+  pin.is_delta_ = info != epochs_.end() && info->second.is_delta;
   pins_[pin.id_] = current_;
   return pin;
 }

@@ -51,6 +51,10 @@ class EpochPin {
   /// Committed journal length (bytes, header included) at pin time: the
   /// prefix this pin's view replays. Frames committed later are invisible.
   std::uint64_t journal_bytes() const { return journal_bytes_; }
+  /// True when the pinned epoch is stored as a delta: its view always
+  /// materializes through the chain, since only a full snapshot has a
+  /// catalog image to serve in place.
+  bool is_delta() const { return is_delta_; }
 
   void Release();
 
@@ -60,6 +64,7 @@ class EpochPin {
   std::uint64_t id_ = 0;
   std::uint64_t epoch_ = 0;
   std::uint64_t journal_bytes_ = 0;
+  bool is_delta_ = false;
 };
 
 /// Tracks the live epochs of one store directory, their delta-chain base

@@ -133,13 +133,15 @@ std::string ExecuteRequestLine(QueryService& service, Session& session,
                 ? 1
                 : 0);
     // Label-store residency of this session's open view: how many bytes
-    // back its labels, and whether they live in the shared catalog image
-    // (arena) or in per-view heap BigInts.
+    // back its labels, whether they live in the shared catalog image
+    // (arena) or in per-view heap BigInts, and how the view's epoch is
+    // stored — only a full snapshot with no journal frames can be arena.
     if (snapshot->has_value()) {
       out << " LABELBYTES " << (*snapshot)->label_store_bytes() << " MODE "
-          << ((*snapshot)->arena_backed() ? "arena" : "heap");
+          << ((*snapshot)->arena_backed() ? "arena" : "heap")
+          << " EPOCHKIND " << ((*snapshot)->delta_epoch() ? "delta" : "full");
     } else {
-      out << " LABELBYTES 0 MODE none";
+      out << " LABELBYTES 0 MODE none EPOCHKIND none";
     }
     return out.str();
   }

@@ -61,6 +61,7 @@ struct WireContext {
 ///                                   MISSES <n> EVICTIONS <n> ... SHED <n>
 ///                                   DEADLINEEXCEEDED <n> IDLEREAPED <n>
 ///                                   DRAINING <0|1> LABELBYTES <n> MODE <m>
+///                                   EPOCHKIND <full|delta|none>
 ///   QUIT                         -> OK BYE (and the connection closes)
 ///
 /// Any request may carry a deadline prefix:

@@ -421,21 +421,6 @@ void LoadedCatalog::SelectAncestors(NodeId descendant,
   }
 }
 
-std::vector<LabelFingerprint> LoadedCatalog::TakeFingerprints() {
-  if (!arena_backed_) return std::move(fps_);
-  return std::vector<LabelFingerprint>(fps_view_, fps_view_ + meta_.size());
-}
-
-std::vector<CatalogRow> LoadedCatalog::TakeRows() {
-  if (!arena_backed_) return std::move(rows_);
-  return MaterializeRows();
-}
-
-ScTable LoadedCatalog::TakeScTable() {
-  if (!arena_backed_) return std::move(sc_table_);
-  return MaterializeScTable();
-}
-
 std::vector<CatalogRow> LoadedCatalog::MaterializeRows() const {
   if (!arena_backed_) return rows_;
   // One front-to-back pass over the label/self/fps columns; restore the
@@ -458,11 +443,15 @@ std::vector<CatalogRow> LoadedCatalog::MaterializeRows() const {
 
 ScTable LoadedCatalog::MaterializeScTable() const {
   if (!arena_backed_) return sc_table_;
+  return ScTable::FromRecords(sc_group_size_, MaterializeScRecords());
+}
+
+std::vector<ScRecord> LoadedCatalog::MaterializeScRecords() const {
   std::vector<ScRecord> records = sc_meta_;
   for (std::size_t r = 0; r < records.size(); ++r) {
     records[r].sc = BigInt::FromLimbs(sc_values_[r]);
   }
-  return ScTable::FromRecords(sc_group_size_, std::move(records));
+  return records;
 }
 
 std::size_t LoadedCatalog::label_store_bytes() const {
@@ -806,7 +795,8 @@ Status WriteCatalog(Vfs& vfs, const std::string& path,
   return vfs.WriteWhole(path, writer.buffer());
 }
 
-Result<LoadedCatalog> LoadCatalog(Vfs& vfs, const std::string& path) {
+Result<CatalogContents> ReadCatalogContents(Vfs& vfs,
+                                            const std::string& path) {
   Result<std::vector<std::uint8_t>> read = vfs.ReadAll(path);
   if (!read.ok()) {
     if (read.status().code() == StatusCode::kNotFound) {
@@ -836,6 +826,8 @@ Result<LoadedCatalog> LoadCatalog(Vfs& vfs, const std::string& path) {
         std::to_string(kCatalogMinSupportedVersion) + " .. " +
         std::to_string(kCatalogFormatVersion));
   }
+  CatalogContents contents;
+  contents.format_version = version;
   if (version == 4) {
     // v4 decodes through the arena parser (one validation path for both
     // the heap and mmap opens), then materializes heap rows — this loader
@@ -844,31 +836,26 @@ Result<LoadedCatalog> LoadCatalog(Vfs& vfs, const std::string& path) {
     LoadedCatalog arena;
     Status parsed = LoadedCatalog::ParseV4Image(*read, origin, &arena);
     if (!parsed.ok()) return parsed;
-    const bool adopt = arena.fingerprints_persisted_;
-    std::vector<CatalogRow> v4_rows = arena.MaterializeRows();
-    ScTable v4_sc = arena.MaterializeScTable();
-    LoadedCatalog catalog =
-        adopt ? LoadedCatalog(std::move(v4_rows), std::move(v4_sc),
-                              LoadedCatalog::AdoptFingerprints{})
-              : LoadedCatalog(std::move(v4_rows), std::move(v4_sc));
-    catalog.format_version_ = 4;
-    return catalog;
+    contents.rows = arena.MaterializeRows();
+    contents.fingerprints_persisted = arena.fingerprints_persisted_;
+    contents.sc_group_size = arena.sc_group_size_;
+    contents.sc_records = arena.MaterializeScRecords();
+    return contents;
   }
   const bool v3 = version >= 3;
   // A v3 file computed its fingerprints against a specific chunk-table
   // configuration; a mismatch means the persisted fingerprints describe a
   // different residue system and must be recomputed (fall back, do not
   // fail — labels are still exact).
-  bool adopt_fingerprints = false;
   if (v3) {
-    adopt_fingerprints = reader.U64() == FingerprintConfigHash();
+    contents.fingerprints_persisted = reader.U64() == FingerprintConfigHash();
   }
 
   std::uint64_t row_count = reader.U64();
   if (row_count > (1ull << 32)) {
     return Status::ParseError("implausible row count");
   }
-  std::vector<CatalogRow> rows;
+  std::vector<CatalogRow>& rows = contents.rows;
   rows.reserve(row_count);
   for (std::uint64_t i = 0; i < row_count && reader.ok(); ++i) {
     CatalogRow row;
@@ -882,9 +869,9 @@ Result<LoadedCatalog> LoadCatalog(Vfs& vfs, const std::string& path) {
     rows.push_back(std::move(row));
   }
 
-  int group_size = static_cast<int>(reader.U32());
+  contents.sc_group_size = static_cast<int>(reader.U32());
   std::uint64_t record_count = reader.U64();
-  std::vector<ScRecord> records;
+  std::vector<ScRecord>& records = contents.sc_records;
   for (std::uint64_t r = 0; r < record_count && reader.ok(); ++r) {
     ScRecord record;
     Status decoded = DecodeScRecord(&reader, &record);
@@ -894,16 +881,23 @@ Result<LoadedCatalog> LoadCatalog(Vfs& vfs, const std::string& path) {
     }
     records.push_back(std::move(record));
   }
-  if (!reader.ok() || group_size < 1) {
+  if (!reader.ok() || contents.sc_group_size < 1) {
     return Status::ParseError("truncated or corrupt catalog '" + path + "'");
   }
-  ScTable sc_table = ScTable::FromRecords(group_size, std::move(records));
+  return contents;
+}
+
+Result<LoadedCatalog> LoadCatalog(Vfs& vfs, const std::string& path) {
+  Result<CatalogContents> contents = ReadCatalogContents(vfs, path);
+  if (!contents.ok()) return contents.status();
+  ScTable sc_table = ScTable::FromRecords(contents->sc_group_size,
+                                          std::move(contents->sc_records));
   LoadedCatalog catalog =
-      adopt_fingerprints
-          ? LoadedCatalog(std::move(rows), std::move(sc_table),
+      contents->fingerprints_persisted
+          ? LoadedCatalog(std::move(contents->rows), std::move(sc_table),
                           LoadedCatalog::AdoptFingerprints{})
-          : LoadedCatalog(std::move(rows), std::move(sc_table));
-  catalog.format_version_ = version;
+          : LoadedCatalog(std::move(contents->rows), std::move(sc_table));
+  catalog.format_version_ = contents->format_version;
   return catalog;
 }
 

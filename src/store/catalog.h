@@ -77,6 +77,22 @@ struct CatalogRow {
   LabelFingerprint fingerprint;
 };
 
+/// A catalog file decoded to its raw contents, before any SC table is
+/// built: rows in document order (parents by row index) and the SC records
+/// with their persisted values, not yet indexed or verified. The
+/// delta/recovery paths overlay deltas onto this state and build the SC
+/// table once at the end of a chain (durability/delta.h).
+struct CatalogContents {
+  /// Format version of the file the contents were read from.
+  int format_version = kCatalogFormatVersion;
+  std::vector<CatalogRow> rows;
+  /// True when `rows` carry fingerprints valid for this binary's config
+  /// (v3/v4 with a matching hash); false means recompute them.
+  bool fingerprints_persisted = false;
+  int sc_group_size = 5;
+  std::vector<ScRecord> sc_records;
+};
+
 /// A catalog loaded back from disk: rows in document order plus the SC
 /// table, able to answer structure and order queries from the stored
 /// labels alone (no XmlTree needed).
@@ -92,7 +108,7 @@ struct CatalogRow {
 /// (OpenCatalogMapped over a v4 file) keeps labels, SC values and
 /// fingerprints as read-only views into the catalog image — possibly an
 /// mmap shared with other views — and materializes BigInts only at the
-/// explicit Take*/Materialize* edges. Every query kernel runs on limb
+/// explicit Materialize* edges. Every query kernel runs on limb
 /// spans via mode-neutral accessors, so the two modes are bit-identical
 /// by construction.
 class LoadedCatalog : public StructureOracle {
@@ -167,25 +183,12 @@ class LoadedCatalog : public StructureOracle {
   /// they were recomputed (v2 file, or v3 with a stale config hash).
   bool fingerprints_persisted() const { return fingerprints_persisted_; }
 
-  /// Moves the per-row fingerprints out (NodeId == row index, the same
-  /// indexing the schemes use) — LabeledDocument::Load hands them to
-  /// OrderedPrimeScheme::Adopt so the document path skips the recompute
-  /// pass too. The catalog must not be queried afterwards. (Arena mode
-  /// copies out of the image instead; the catalog stays usable there, but
-  /// callers should not rely on that.)
-  std::vector<LabelFingerprint> TakeFingerprints();
-
-  /// Moves the rows out (delta-snapshot recovery rebuilds documents from
-  /// raw rows without paying for a queryable catalog). The catalog must
-  /// not be queried afterwards. Arena mode materializes full rows —
-  /// BigInts and all — from the image (this is the mutation edge where
-  /// spans become owned arithmetic again).
-  std::vector<CatalogRow> TakeRows();
-  ScTable TakeScTable();
-
   /// Non-destructive materialization of full heap rows / SC table from
   /// either mode — what a sealed arena view hands to LabeledDocument when
-  /// a caller genuinely needs a mutable document.
+  /// a caller genuinely needs a mutable document. Arena mode materializes
+  /// BigInts from the image (the mutation edge where spans become owned
+  /// arithmetic again). Callers that want a mutable document straight
+  /// from a file use ReadCatalogContents instead.
   std::vector<CatalogRow> MaterializeRows() const;
   ScTable MaterializeScTable() const;
 
@@ -224,6 +227,10 @@ class LoadedCatalog : public StructureOracle {
   /// metadata. kCorruption on any digest or shape mismatch.
   static Status ParseV4Image(std::span<const std::uint8_t> bytes,
                              const std::string& origin, LoadedCatalog* out);
+
+  /// Arena mode: the SC records with their values copied out of SCVALS,
+  /// not yet indexed or verified.
+  std::vector<ScRecord> MaterializeScRecords() const;
 
   /// Compact per-row metadata decoded from a v4 ROWMETA section (arena
   /// mode only) — everything CatalogRow holds except the big columns.
@@ -267,6 +274,8 @@ class LoadedCatalog : public StructureOracle {
   int format_version_ = kCatalogFormatVersion;
   bool fingerprints_persisted_ = false;
 
+  friend Result<CatalogContents> ReadCatalogContents(Vfs& vfs,
+                                                     const std::string& path);
   friend Result<LoadedCatalog> LoadCatalog(Vfs& vfs, const std::string& path);
   friend Result<LoadedCatalog> OpenCatalogMapped(Vfs& vfs,
                                                  const std::string& path);
@@ -300,11 +309,16 @@ Status WriteCatalog(Vfs& vfs, const std::string& path,
                     const ScTable& sc_table,
                     const CatalogWriteOptions& options = {});
 
+/// Decodes a catalog written by WriteCatalog, whatever its version, into
+/// its raw contents. Same errors as LoadCatalog, which is this plus the SC
+/// table build (ScTable::FromRecords) and the fingerprint column.
+Result<CatalogContents> ReadCatalogContents(Vfs& vfs, const std::string& path);
+
 /// Reads a catalog written by WriteCatalog into heap mode (decoded rows),
-/// whatever its version — the recovery/delta paths' loader. Fails with
-/// kParseError on a bad magic, an unsupported version (the message names
-/// found vs. supported versions) or a truncated v2/v3 file; a v4 file
-/// whose section digests do not match fails with kCorruption.
+/// whatever its version. Fails with kParseError on a bad magic, an
+/// unsupported version (the message names found vs. supported versions)
+/// or a truncated v2/v3 file; a v4 file whose section digests do not
+/// match fails with kCorruption.
 Result<LoadedCatalog> LoadCatalog(Vfs& vfs, const std::string& path);
 
 /// Opens a catalog for reading with zero-copy intent: a v4 file on a

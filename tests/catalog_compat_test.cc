@@ -28,6 +28,7 @@
 #include <gtest/gtest.h>
 
 #include "bigint/bigint.h"
+#include "core/crt.h"
 #include "corpus/durable_document_store.h"
 #include "store/catalog.h"
 #include "xml/serializer.h"
@@ -316,6 +317,8 @@ TEST_P(CatalogFormatUpgrade, RoundTripsToV4BitIdentically) {
       << "missing fixture; run the DISABLED_WriteFormatsFixture generator";
   const std::string expected = ReadWholeFile(FormatsDir() + "/DIGEST.txt");
   ASSERT_FALSE(expected.empty());
+  // Every open below adopts the SC values the files carry.
+  const std::uint64_t solves = CrtSolveCount();
 
   Result<LoadedCatalog> loaded = LoadCatalog(DefaultVfs(), source);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
@@ -346,6 +349,7 @@ TEST_P(CatalogFormatUpgrade, RoundTripsToV4BitIdentically) {
   ASSERT_TRUE(v4_arena.ok()) << v4_arena.status().ToString();
   EXPECT_TRUE(v4_arena->arena_backed());
   EXPECT_EQ(CatalogDigest(*v4_arena), expected);
+  EXPECT_EQ(CrtSolveCount(), solves);
   std::remove(upgraded.c_str());
 }
 

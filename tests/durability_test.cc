@@ -15,6 +15,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/crt.h"
+#include "durability/delta.h"
 #include "durability/frame.h"
 #include "durability/recovery.h"
 #include "durability/vfs.h"
@@ -1140,6 +1142,91 @@ TEST(DurabilityDelta, DeltaCheckpointReopensBitIdentical) {
   EXPECT_EQ(reopened->epoch(), 1u);
   EXPECT_EQ(reopened->delta_chain_length(), 1);
   EXPECT_EQ(StateDigest(reopened->document()), live_digest);
+  RemoveTree(dir);
+}
+
+// Fixed row set: a root with attributes, a 9-byte (two-limb) label, an
+// exactly-8-byte label, a text row and a zero-attribute leaf.
+std::vector<CatalogRow> PinnedDigestRows() {
+  std::vector<CatalogRow> rows(5);
+  rows[0].tag = "play";
+  rows[0].attributes = {{"title", "Hamlet"}, {"year", "1603"}};
+  rows[0].label = BigInt(1);
+  rows[0].self = 1;
+  rows[1].tag = "act";
+  rows[1].parent = 0;
+  rows[1].label = BigInt::FromDecimalString("1180591620717411303424").value();
+  rows[1].self = 3;
+  rows[2].tag = "scene";
+  rows[2].parent = 1;
+  rows[2].label = BigInt::FromUint64(18446744073709551557ull);
+  rows[2].self = 18446744073709551557ull;
+  rows[3].tag = "To be, or not to be";
+  rows[3].is_element = false;
+  rows[3].parent = 2;
+  rows[3].label = BigInt::FromUint64(0x0100000000000000ull);
+  rows[3].self = 7;
+  rows[4].tag = "speech";
+  rows[4].parent = 1;
+  rows[4].label = BigInt(15);
+  rows[4].self = 5;
+  return rows;
+}
+
+// Row hashes and the rows digest are pinned: delta files written by
+// earlier builds carry this digest, and their apply must still verify.
+// (The rows need not form a valid labeling; only their bytes are hashed.)
+TEST(DurabilityDelta, RowsDigestIsPinned) {
+  const std::vector<CatalogRow> rows = PinnedDigestRows();
+  EXPECT_EQ(CatalogRowsDigest(rows), 8847309624404852193ull);
+  EXPECT_EQ(CatalogRowHash(rows[1], 42), 17086989447591385349ull);
+  EXPECT_EQ(CatalogRowHash(rows[3], 42), 10205258438247925174ull);
+  // The index a delta checkpoint hands on equals a fresh one.
+  BaseRowIndex from_diff;
+  BuildDelta(0, BuildBaseRowIndex(rows), {}, rows, ScTable(5),
+             /*fingerprints=*/true, &from_diff);
+  const BaseRowIndex fresh = BuildBaseRowIndex(rows);
+  ASSERT_EQ(from_diff.size(), fresh.size());
+  for (const auto& [self, entry] : fresh) {
+    ASSERT_EQ(from_diff.count(self), 1u) << self;
+    EXPECT_EQ(from_diff.at(self).hash, entry.hash) << self;
+    EXPECT_EQ(from_diff.at(self).parent_self, entry.parent_self) << self;
+  }
+}
+
+// Loads adopt the SC values the files carry: reopening a 2-delta chain
+// and materializing its (heap-served) view run no CRT solve at all.
+TEST(DurabilityDelta, ChainLoadsAdoptPersistedScValues) {
+  std::string dir = TempDirPath("delta-adopt");
+  RemoveTree(dir);
+  Result<DurableDocumentStore> store =
+      DurableDocumentStore::Create(dir, SmallPlayXml());
+  ASSERT_TRUE(store.ok());
+  for (int round = 0; round < 2; ++round) {
+    std::vector<NodeId> speeches = store->Query("//speech").value();
+    ASSERT_TRUE(store->InsertBefore(speeches[1], "speech").ok());
+    ASSERT_TRUE(store->Wrap(speeches[2], "aside").ok());
+    ASSERT_TRUE(store->Checkpoint().ok());
+  }
+  ASSERT_EQ(store->delta_chain_length(), 2);
+  const std::string live_digest = StateDigest(store->document());
+
+  std::uint64_t solves = CrtSolveCount();
+  Result<DurableDocumentStore> reopened = DurableDocumentStore::Open(dir);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ(CrtSolveCount(), solves);
+  EXPECT_EQ(reopened->delta_chain_length(), 2);
+  EXPECT_EQ(StateDigest(reopened->document()), live_digest);
+  EXPECT_TRUE(reopened->document().scheme().sc_table().VerifyIntegrity());
+
+  // A sealed delta epoch is served from heap: the view walks the chain.
+  solves = CrtSolveCount();
+  Result<Snapshot> snap = reopened->OpenSnapshot();
+  ASSERT_TRUE(snap.ok()) << snap.status().ToString();
+  EXPECT_FALSE(snap->arena_backed());
+  EXPECT_EQ(CrtSolveCount(), solves);
+  EXPECT_EQ(StateDigest(snap->document()), live_digest);
+  snap.value() = Snapshot();
   RemoveTree(dir);
 }
 

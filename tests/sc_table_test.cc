@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "primes/prime_source.h"
 #include "util/rng.h"
 
@@ -186,6 +188,67 @@ TEST(ScTable, FromRecordsRebuildsIndexAndVerifies) {
     EXPECT_EQ(rebuilt.OrderOf(self), original.OrderOf(self));
   }
   EXPECT_EQ(rebuilt.max_order(), original.max_order());
+}
+
+// Persisted SC values: FromRecords adopts a record's value only when it
+// is the canonical CRT solution and re-solves anything else. Every case
+// must end record-for-record equal to a full recompute. The moduli mix
+// small primes with the largest 64-bit primes, whose top bit is set.
+TEST(ScTable, FromRecordsAdoptsCanonicalValuesAndHealsTheRest) {
+  std::vector<std::uint64_t> selves = {18446744073709551557ull,
+                                       18446744073709551533ull,
+                                       18446744073709551521ull};
+  PrimeSource primes;
+  primes.SkipFirst(5);
+  for (int i = 0; i < 20; ++i) selves.push_back(primes.Next());
+  ScTable reference(/*group_size=*/5);
+  reference.Build(selves);
+  const std::vector<ScRecord>& want = reference.records();
+
+  auto product_of = [](const ScRecord& record) {
+    BigInt product(1);
+    for (std::uint64_t m : record.moduli) product *= BigInt::FromUint64(m);
+    return product;
+  };
+  struct Case {
+    const char* name;
+    std::function<void(ScRecord*)> tamper;
+    bool adopted;
+  };
+  const std::vector<Case> cases = {
+      {"canonical", [](ScRecord*) {}, true},
+      {"plus product",
+       [&](ScRecord* r) { r->sc = r->sc + product_of(*r); }, false},
+      // In range and congruent modulo every modulus but the first.
+      {"one congruence broken",
+       [&](ScRecord* r) {
+         const BigInt product = product_of(*r);
+         r->sc = (r->sc + product / BigInt::FromUint64(r->moduli[0])) %
+                 product;
+       },
+       false},
+      {"zero", [](ScRecord* r) { r->sc = BigInt(0); }, false},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    std::vector<ScRecord> records = want;
+    for (ScRecord& record : records) {
+      c.tamper(&record);
+      record.max_modulus = 0;  // v2/v3 records decode without it
+    }
+    const std::uint64_t solves = CrtSolveCount();
+    ScTable loaded = ScTable::FromRecords(5, std::move(records));
+    EXPECT_EQ(CrtSolveCount() - solves, c.adopted ? 0u : want.size());
+    EXPECT_TRUE(loaded.VerifyIntegrity());
+    ASSERT_EQ(loaded.records().size(), want.size());
+    for (std::size_t r = 0; r < want.size(); ++r) {
+      EXPECT_EQ(loaded.records()[r].moduli, want[r].moduli);
+      EXPECT_EQ(loaded.records()[r].orders, want[r].orders);
+      EXPECT_EQ(loaded.records()[r].sc, want[r].sc);
+      EXPECT_EQ(loaded.records()[r].max_modulus, want[r].max_modulus);
+    }
+    EXPECT_EQ(loaded.max_order(), reference.max_order());
+  }
 }
 
 TEST(ScTable, RandomInsertSequenceKeepsOrdersConsistent) {

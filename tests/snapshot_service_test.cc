@@ -393,6 +393,33 @@ TEST(SnapshotServiceWire, RequestLineBatteryAndErrors) {
   EXPECT_TRUE(done);
 }
 
+// STATS names the view's storage mode and its epoch's kind: a sealed full
+// snapshot is served arena-backed, a sealed delta epoch from heap.
+TEST(SnapshotServiceWire, StatsReportsEpochKindBehindTheMode) {
+  const std::string dir = TempDirPath("svc-wire-kind");
+  QueryService service = MakeService(dir);
+  Result<Session> session = service.OpenSession();
+  ASSERT_TRUE(session.ok());
+  std::optional<Snapshot> snapshot;
+  bool done = false;
+  auto stats_after_snap = [&] {
+    ExecuteRequestLine(service, *session, &snapshot, "SNAP", &done);
+    return ExecuteRequestLine(service, *session, &snapshot, "STATS", &done);
+  };
+  EXPECT_NE(stats_after_snap().find(" MODE arena EPOCHKIND full"),
+            std::string::npos);
+
+  DurableDocumentStore& store = service.store();
+  std::vector<NodeId> scenes = store.Query("//scene").value();
+  ASSERT_TRUE(store.AppendChild(scenes[0], "note").ok());
+  ASSERT_TRUE(store.Checkpoint().ok());
+  ASSERT_EQ(store.delta_chain_length(), 1);
+  EXPECT_NE(stats_after_snap().find(" MODE heap EPOCHKIND delta"),
+            std::string::npos);
+  snapshot.reset();
+  RemoveTree(dir);
+}
+
 TEST(SnapshotServiceWire, SocketServerServesConcurrentClients) {
   const std::string dir = TempDirPath("svc-socket");
   const std::string socket_path = TempDirPath("svc-socket.sock");
