@@ -7,7 +7,8 @@
 //   query_client <socket> --smoke
 //       The standing smoke battery used by scripts/check.sh: PING, SNAP,
 //       a handful of XPATH/ISANC/DESC/ANC requests, EXPLAIN, repeated
-//       queries asserting the plan/result-cache counters in STATS, QUIT —
+//       queries asserting the plan/result-cache counters in STATS, the
+//       view-build counters (VIEWREBUILDS + VIEWREPLAYS <= MISSES), QUIT —
 //       exit 0 only if every reply is OK and every assertion holds.
 //   query_client <socket> --explain <xpath>
 //       SNAP, then EXPLAIN the query and print the operator tree.
@@ -143,7 +144,11 @@ int Smoke(SocketClient& client) {
   long label_bytes = -1;
   long plan_hits = -1, plan_misses = -1, res_hits = -1, res_misses = -1;
   long shed = -1, deadline_exceeded = -1, idle_reaped = -1, draining = -1;
+  long misses = -1, view_rebuilds = -1, view_replays = -1;
   while (in >> token) {
+    if (token == "MISSES") in >> misses;
+    if (token == "VIEWREBUILDS") in >> view_rebuilds;
+    if (token == "VIEWREPLAYS") in >> view_replays;
     if (token == "LABELBYTES") in >> label_bytes;
     if (token == "MODE") in >> mode;
     if (token == "EPOCHKIND") in >> epoch_kind;
@@ -211,6 +216,22 @@ int Smoke(SocketClient& client) {
   if (draining != 0) {
     std::fprintf(stderr, "smoke: DRAINING %ld on a serving server\n",
                  draining);
+    return 1;
+  }
+  // Every heap view the store builds — a full rebuild, or a replay of the
+  // newest frames onto the previous point's view — answers a cache miss.
+  if (misses < 0 || view_rebuilds < 0 || view_replays < 0) {
+    std::fprintf(stderr, "smoke: STATS is missing MISSES/VIEWREBUILDS/"
+                         "VIEWREPLAYS\n");
+    return 1;
+  }
+  std::printf("view builds: VIEWREBUILDS %ld VIEWREPLAYS %ld MISSES %ld\n",
+              view_rebuilds, view_replays, misses);
+  if (view_rebuilds + view_replays > misses) {
+    std::fprintf(stderr,
+                 "smoke: VIEWREBUILDS %ld + VIEWREPLAYS %ld exceed MISSES "
+                 "%ld\n",
+                 view_rebuilds, view_replays, misses);
     return 1;
   }
 

@@ -5,8 +5,8 @@
 # suites (the parallel labeler, SC-table build, the batch-query kernels
 # issued from concurrent threads, the worker-thread join executor, and
 # the epoch reader/writer protocol, and the snapshot/service layer), an
-# ASan+UBSan build running the decoder, arena, SC-table, recovery and
-# wire-fuzz suites, a
+# ASan+UBSan build running the decoder, arena, SC-table, recovery,
+# view-replay and wire-fuzz suites, a
 # durability leg (the fault-injection suite, a crash-recovery soak with
 # real mid-stream process kills, and a fault-matrix sweep over several
 # workload seeds), and a service leg (query_server over a Unix socket
@@ -240,14 +240,15 @@ if [[ "$run_tsan" == "1" ]]; then
 
   echo "== asan+ubsan: decoders, arena and wire fuzz (build-asan/) =="
   # The catalog/delta/arena decoders, the SC-table adoption checks, WAL
-  # recovery and the malformed-wire battery parse untrusted bytes out of
-  # files, mmap and sockets. UBSan reports are made fatal so they fail
-  # the test instead of scrolling past.
+  # recovery, the view replay's mid-file journal scan and the
+  # malformed-wire battery parse untrusted bytes out of files, mmap and
+  # sockets. UBSan reports are made fatal so they fail the test instead
+  # of scrolling past.
   cmake -B build-asan -S . -DPRIMELABEL_SANITIZE=address,undefined >/dev/null
   cmake --build build-asan -j "$jobs"
   UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
     ctest --test-dir build-asan --output-on-failure -j "$jobs" \
-    -R 'Catalog|Delta|Arena|ScTable|Crt|DurabilityRecovery|ServiceChaos'
+    -R 'Catalog|Delta|Arena|ScTable|Crt|DurabilityRecovery|ServiceChaos|SnapshotIncremental'
 fi
 
 echo "All checks passed."

@@ -81,6 +81,14 @@ class OrderedPrimeScheme : public LabelingScheme, public StructureOracle {
              std::vector<std::uint64_t> selves, ScTable sc_table,
              std::vector<LabelFingerprint> fps = {});
 
+  /// Points this scheme and its structural scheme at `tree`, a deep copy
+  /// of the tree they labeled (same NodeIds). A copied scheme still points
+  /// at the original tree until rebound (LabeledDocument::Clone).
+  void RebindTree(const XmlTree& tree) {
+    set_tree(tree);
+    structure_.RebindTree(tree);
+  }
+
   /// Access to the underlying structural scheme and the SC table.
   const PrimeTopDownScheme& structure() const { return structure_; }
   const ScTable& sc_table() const { return sc_table_; }

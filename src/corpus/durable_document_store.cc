@@ -277,30 +277,13 @@ void DurableDocumentStore::EnterQuarantine(const Status& cause) {
 
   // Roll the in-memory document back to the last durable state: the
   // epoch's snapshot/delta chain plus the committed journal prefix.
-  bool rolled_back = false;
-  Result<EpochChain> chain = LoadEpochChain(*vfs_, dir_, epoch_);
-  if (chain.ok()) {
-    Result<LabeledDocument> doc = LabeledDocument::FromCatalogRows(
-        std::move(chain->rows), std::move(chain->sc_table),
-        chain->fingerprints_valid, "quarantine rollback of '" + dir_ +
-                                             "' epoch " +
-                                             std::to_string(epoch_));
-    if (doc.ok()) {
-      Result<WalReadResult> journal =
-          ReadWal(*vfs_, EpochJournalPath(dir_, epoch_), durable);
-      Status replayed = Status::Ok();
-      if (journal.ok()) {
-        replayed = ReplayRecords(journal->records, &doc.value());
-      } else if (journal.status().code() != StatusCode::kNotFound) {
-        replayed = journal.status();
-      }
-      if (replayed.ok()) {
-        doc_ = std::move(doc.value());
-        rolled_back = true;
-      }
-    }
-  }
-  if (!rolled_back) {
+  Result<LabeledDocument> doc =
+      Rebuild(epoch_, durable,
+              "quarantine rollback of '" + dir_ + "' epoch " +
+                  std::to_string(epoch_));
+  if (doc.ok()) {
+    doc_ = std::move(doc.value());
+  } else {
     // Reads failed too (e.g. a simulated crash): queries keep serving the
     // pre-failure document, which may be ahead of what a restart will
     // recover.
@@ -461,35 +444,79 @@ Status DurableDocumentStore::Checkpoint() {
   // never diffed hashes them here.
   ResetBaseIndex(diffed ? std::move(next_base_index) : BuildBaseRowIndex(rows),
                  sc_table);
+  // Before the publish, so no reader can pin the new epoch ahead of it:
+  // drop the old epoch's base view, and refuse offers of older epochs.
+  {
+    std::lock_guard<std::mutex> lock(newest_view_->mu);
+    newest_view_->epoch = next;
+    newest_view_->journal_bytes = 0;
+    newest_view_->view.reset();
+  }
   registry_->Publish(next, as_delta, old);
   registry_->SetDurableBytes(wal_.committed_bytes());
   return Status::Ok();
 }
 
-Result<LabeledDocument> DurableDocumentStore::MaterializePinned(
-    const EpochPin& pin) const {
-  if (!pin.valid()) {
-    return Status::InvalidArgument("cannot read a released epoch pin");
-  }
-  Result<EpochChain> chain = LoadEpochChain(*vfs_, dir_, pin.epoch());
+Result<LabeledDocument> DurableDocumentStore::Rebuild(
+    std::uint64_t epoch, std::uint64_t journal_bytes, const std::string& origin,
+    std::uint64_t* journal_end) const {
+  if (journal_end != nullptr) *journal_end = 0;
+  Result<EpochChain> chain = LoadEpochChain(*vfs_, dir_, epoch);
   if (!chain.ok()) return chain.status();
   Result<LabeledDocument> doc = LabeledDocument::FromCatalogRows(
       std::move(chain->rows), std::move(chain->sc_table),
-      chain->fingerprints_valid,
-      "pinned epoch " + std::to_string(pin.epoch()) + " of store '" + dir_ +
-          "'");
+      chain->fingerprints_valid, origin);
   if (!doc.ok()) return doc.status();
-  // Replay only the committed prefix the pin captured: frames the writer
-  // appended after the pin are invisible to this view.
-  Result<WalReadResult> journal = ReadWal(
-      *vfs_, EpochJournalPath(dir_, pin.epoch()), pin.journal_bytes());
+  // Replay only the committed prefix: frames the writer appended after it
+  // are invisible to this state.
+  Result<WalReadResult> journal =
+      ReadWal(*vfs_, EpochJournalPath(dir_, epoch), journal_bytes);
   if (journal.ok()) {
     Status replayed = ReplayRecords(journal->records, &doc.value());
     if (!replayed.ok()) return replayed;
+    if (journal_end != nullptr) *journal_end = journal->valid_bytes;
   } else if (journal.status().code() != StatusCode::kNotFound) {
     return journal.status();
   }
   return doc;
+}
+
+Result<LabeledDocument> DurableDocumentStore::RebuildPinned(
+    const EpochPin& pin, std::uint64_t* journal_end) const {
+  if (!pin.valid()) {
+    return Status::InvalidArgument("cannot read a released epoch pin");
+  }
+  return Rebuild(pin.epoch(), pin.journal_bytes(),
+                 "pinned epoch " + std::to_string(pin.epoch()) +
+                     " of store '" + dir_ + "'",
+                 journal_end);
+}
+
+Result<LabeledDocument> DurableDocumentStore::ReplaySince(
+    const LabeledDocument& base, std::uint64_t epoch, std::uint64_t from_bytes,
+    std::uint64_t to_bytes) const {
+  const std::string path = EpochJournalPath(dir_, epoch);
+  Result<WalReadResult> journal = ReadWal(*vfs_, path, to_bytes, from_bytes);
+  if (!journal.ok()) return journal.status();
+  if (journal->valid_bytes != to_bytes) {
+    return Status::Corruption("journal '" + path + "' frames after byte " +
+                              std::to_string(from_bytes) + " end at byte " +
+                              std::to_string(journal->valid_bytes) +
+                              ", not at the pinned " +
+                              std::to_string(to_bytes));
+  }
+  // Same result as a rebuild by construction: the chain plus frames
+  // [0, from) gave `base`, and replay is applied frame by frame.
+  LabeledDocument doc = base.Clone();
+  Status replayed = ReplayRecords(journal->records, &doc);
+  if (!replayed.ok()) return replayed;
+  return doc;
+}
+
+DurableDocumentStore::ViewBuildStats DurableDocumentStore::view_build_stats()
+    const {
+  return {newest_view_->rebuilds.load(std::memory_order_relaxed),
+          newest_view_->replays.load(std::memory_order_relaxed)};
 }
 
 Result<std::shared_ptr<const EpochView>> DurableDocumentStore::MaterializeView(
@@ -511,10 +538,50 @@ Result<std::shared_ptr<const EpochView>> DurableDocumentStore::MaterializeView(
           std::make_shared<EpochView>(std::move(catalog.value())));
     }
   }
-  Result<LabeledDocument> doc = MaterializePinned(pin);
+  // Replay path: the newest heap view of this epoch at an earlier point
+  // is the pin's state minus the frames committed since. Copy it and
+  // replay just those; anything off about them (short, damaged, not
+  // replaying cleanly) leaves the pin to the full rebuild, whose answer —
+  // view or error — stands.
+  NewestHeapView& newest = *newest_view_;
+  std::shared_ptr<const EpochView> base;
+  std::uint64_t base_bytes = 0;
+  {
+    std::lock_guard<std::mutex> lock(newest.mu);
+    if (newest.view != nullptr && newest.epoch == pin.epoch() &&
+        newest.journal_bytes < pin.journal_bytes()) {
+      base = newest.view;
+      base_bytes = newest.journal_bytes;
+    }
+  }
+  // A replayed view always reaches the pin (ReplaySince demands it); a
+  // rebuilt one reaches it only when the journal read back whole.
+  std::uint64_t reached = pin.journal_bytes();
+  Result<LabeledDocument> doc =
+      base != nullptr ? ReplaySince(base->document(), pin.epoch(), base_bytes,
+                                    pin.journal_bytes())
+                      : RebuildPinned(pin, &reached);
+  const bool replayed = base != nullptr && doc.ok();
+  if (base != nullptr && !doc.ok()) doc = RebuildPinned(pin, &reached);
   if (!doc.ok()) return doc.status();
-  return std::shared_ptr<const EpochView>(
-      std::make_shared<EpochView>(std::move(doc.value())));
+  auto view = std::make_shared<const EpochView>(std::move(doc.value()));
+  (replayed ? newest.replays : newest.rebuilds)
+      .fetch_add(1, std::memory_order_relaxed);
+
+  // Offer it as the next replay base if it is the newest point seen. A
+  // view that stops short of its pin (damaged frame, short read) is not
+  // offered: a later point would replay its newer frames onto a state
+  // missing the ones in between.
+  if (reached != pin.journal_bytes()) return view;
+  std::lock_guard<std::mutex> lock(newest.mu);
+  const bool newer = newest.view == nullptr ||
+                     pin.journal_bytes() > newest.journal_bytes;
+  if (pin.epoch() > newest.epoch || (pin.epoch() == newest.epoch && newer)) {
+    newest.epoch = pin.epoch();
+    newest.journal_bytes = pin.journal_bytes();
+    newest.view = view;
+  }
+  return view;
 }
 
 Result<Snapshot> DurableDocumentStore::OpenSnapshot() const {

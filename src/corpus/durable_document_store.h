@@ -1,9 +1,11 @@
 #ifndef PRIMELABEL_CORPUS_DURABLE_DOCUMENT_STORE_H_
 #define PRIMELABEL_CORPUS_DURABLE_DOCUMENT_STORE_H_
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -266,10 +268,33 @@ class DurableDocumentStore {
   /// writer keeps mutating and checkpointing. When a view cache is
   /// attached (set_view_cache), concurrent opens of the same (epoch,
   /// journal bytes) point share one materialization; otherwise each open
-  /// rebuilds from disk (snapshot/delta chain + committed journal
-  /// prefix). The returned view's label table is pre-built, so every read
-  /// on the Snapshot is concurrency-safe.
+  /// materializes its own. A heap view is built from the newest heap view
+  /// this store built of the same epoch at an earlier journal point, when
+  /// there is one (deep copy + replay of only the newer frames), else
+  /// rebuilt from disk (snapshot/delta chain + committed journal prefix);
+  /// both give the same document. The returned view's label table is
+  /// pre-built, so every read on the Snapshot is concurrency-safe.
   Result<Snapshot> OpenSnapshot() const;
+
+  /// Heap views MaterializeView built, by path: `rebuilds` loaded the
+  /// epoch's snapshot/delta chain and replayed the journal from its start;
+  /// `replays` copied the newest heap view of the same epoch and replayed
+  /// only the frames committed after it. Arena views count as neither.
+  struct ViewBuildStats {
+    std::uint64_t rebuilds = 0;
+    std::uint64_t replays = 0;
+  };
+  ViewBuildStats view_build_stats() const;
+
+  /// Cold rebuild of the exact document a pin captured: the epoch's
+  /// snapshot/delta chain plus the committed journal prefix, sharing
+  /// nothing with any view built earlier. Every view OpenSnapshot serves
+  /// at that pin is bit-identical to it (tests compare against it).
+  /// `journal_end`, when given, receives the journal offset the replayed
+  /// frames end at (0 without a journal): below pin.journal_bytes() when a
+  /// damaged frame or a short read stopped the replay inside the pin.
+  Result<LabeledDocument> RebuildPinned(
+      const EpochPin& pin, std::uint64_t* journal_end = nullptr) const;
 
   /// Attaches (or clears, with nullptr) the materialized-view cache that
   /// OpenSnapshot routes through. Not synchronized: attach before reader
@@ -332,16 +357,46 @@ class DurableDocumentStore {
                        std::uint64_t cursor_before, NodeId fresh,
                        std::string_view tag);
 
-  /// Rebuilds the exact document state a pin captured: the epoch's
-  /// snapshot/delta chain plus the committed journal prefix — the
-  /// heap-mode materialization body of OpenSnapshot.
-  Result<LabeledDocument> MaterializePinned(const EpochPin& pin) const;
+  /// Rebuilds the document at (epoch, committed journal bytes): the
+  /// epoch's snapshot/delta chain plus the journal prefix up to
+  /// `journal_bytes` — the one rebuild body behind RebuildPinned and the
+  /// quarantine rollback. `origin` names the state in error messages;
+  /// `journal_end` is as in RebuildPinned.
+  Result<LabeledDocument> Rebuild(std::uint64_t epoch,
+                                  std::uint64_t journal_bytes,
+                                  const std::string& origin,
+                                  std::uint64_t* journal_end = nullptr) const;
+
+  /// Copies `base`, the document at (epoch, from_bytes), and replays the
+  /// journal frames in [from_bytes, to_bytes) on top. Fails — the caller
+  /// then rebuilds — unless those frames decode to exactly `to_bytes` and
+  /// replay cleanly.
+  Result<LabeledDocument> ReplaySince(const LabeledDocument& base,
+                                      std::uint64_t epoch,
+                                      std::uint64_t from_bytes,
+                                      std::uint64_t to_bytes) const;
 
   /// Builds the shared view for a pinned point: an arena-backed view over
   /// the epoch's catalog image when the epoch is sealed and eligible
-  /// (see Options::arena_sealed_views), else a materialized document.
+  /// (see Options::arena_sealed_views), else a materialized document —
+  /// replayed from the newest heap view of the epoch when one exists at
+  /// an earlier point, else rebuilt.
   Result<std::shared_ptr<const EpochView>> MaterializeView(
       const EpochPin& pin) const;
+
+  /// The newest heap view MaterializeView built, the base the next point
+  /// of the same epoch replays from, plus the build counters. Shared by
+  /// reader threads (hence the mutex) and held by pointer so the store
+  /// stays movable. Checkpoint empties it and raises `epoch` to the new
+  /// epoch, so views of superseded epochs are neither kept nor offered.
+  struct NewestHeapView {
+    std::mutex mu;
+    std::uint64_t epoch = 0;
+    std::uint64_t journal_bytes = 0;
+    std::shared_ptr<const EpochView> view;
+    std::atomic<std::uint64_t> rebuilds{0};
+    std::atomic<std::uint64_t> replays{0};
+  };
 
   /// Installs the base diff index of the rows/SC state the current
   /// epoch's files hold (pre-replay at Open, post-checkpoint state at
@@ -368,6 +423,8 @@ class DurableDocumentStore {
   std::shared_ptr<EpochRegistry> registry_;
   /// Optional materialized-view cache OpenSnapshot routes through.
   SnapshotViewCache* view_cache_ = nullptr;
+  std::unique_ptr<NewestHeapView> newest_view_ =
+      std::make_unique<NewestHeapView>();
   /// Ok while healthy; kUnavailable (with cause) once quarantined.
   Status quarantine_;
   /// Diff base for delta checkpoints: the current epoch's on-disk state.

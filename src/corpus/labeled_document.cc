@@ -25,6 +25,15 @@ LabeledDocument LabeledDocument::FromTree(XmlTree tree, int sc_group_size) {
   return LabeledDocument(std::move(tree), sc_group_size);
 }
 
+LabeledDocument LabeledDocument::Clone() const {
+  LabeledDocument copy;
+  copy.tree_ = std::make_unique<XmlTree>(*tree_);
+  copy.scheme_ = std::make_unique<OrderedPrimeScheme>(*scheme_);
+  copy.scheme_->RebindTree(*copy.tree_);
+  copy.last_update_cost_ = last_update_cost_;
+  return copy;
+}
+
 const LabelTable& LabeledDocument::table() const {
   if (table_dirty_) {
     table_ = std::make_unique<LabelTable>(*tree_);

@@ -50,6 +50,14 @@ class LabeledDocument {
   LabeledDocument(LabeledDocument&&) = default;
   LabeledDocument& operator=(LabeledDocument&&) = default;
 
+  /// A deep copy: tree, labels, SC table and prime cursor, with the
+  /// copied scheme pointed at the copied tree, so updates to the copy
+  /// continue exactly as they would on this document (same NodeIds, same
+  /// labels). Reads this document only — its lazy label table is neither
+  /// built nor copied — so it is safe while other threads query it. The
+  /// copy rebuilds its own label table on first use.
+  LabeledDocument Clone() const;
+
   const XmlTree& tree() const { return *tree_; }
   const OrderedPrimeScheme& scheme() const { return *scheme_; }
 

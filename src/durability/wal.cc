@@ -1,5 +1,6 @@
 #include "durability/wal.h"
 
+#include <algorithm>
 #include <cstring>
 #include <thread>
 #include <utility>
@@ -122,7 +123,8 @@ Status WriteAheadLog::Sync() {
 }
 
 Result<WalReadResult> ReadWal(Vfs& vfs, const std::string& path,
-                              std::uint64_t max_bytes) {
+                              std::uint64_t max_bytes,
+                              std::uint64_t from_bytes) {
   Result<std::vector<std::uint8_t>> read = vfs.ReadAll(path, max_bytes);
   if (!read.ok()) {
     if (read.status().code() == StatusCode::kNotFound) {
@@ -141,10 +143,12 @@ Result<WalReadResult> ReadWal(Vfs& vfs, const std::string& path,
     result.bytes_dropped = bytes.size();
     return result;
   }
-  FrameScan scan = ScanFrames(
-      std::span<const std::uint8_t>(bytes).subspan(sizeof(kWalMagic)));
+  const std::size_t start = static_cast<std::size_t>(std::min<std::uint64_t>(
+      std::max<std::uint64_t>(from_bytes, sizeof(kWalMagic)), bytes.size()));
+  FrameScan scan =
+      ScanFrames(std::span<const std::uint8_t>(bytes).subspan(start));
   result.records = std::move(scan.records);
-  result.valid_bytes = sizeof(kWalMagic) + scan.valid_bytes;
+  result.valid_bytes = start + scan.valid_bytes;
   result.tail_truncated = scan.tail_truncated;
   result.bytes_dropped = scan.bytes_dropped;
   return result;

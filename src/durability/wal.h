@@ -135,9 +135,15 @@ struct WalReadResult {
 /// is damaged yields zero records with the whole body dropped.
 /// `max_bytes` bounds the read to a prefix — epoch-pinned readers pass the
 /// committed length they captured, so frames the writer appended later are
-/// invisible to them.
+/// invisible to them. `from_bytes` starts the frame scan at that offset (a
+/// committed length read earlier, hence a frame boundary): only the frames
+/// in [from_bytes, max_bytes) are decoded, the header is still checked, and
+/// valid_bytes stays an absolute file offset — so a caller replaying a
+/// suffix can require valid_bytes == max_bytes before trusting it. The
+/// file is still read from its start: the I/O covers [0, max_bytes).
 Result<WalReadResult> ReadWal(Vfs& vfs, const std::string& path,
-                              std::uint64_t max_bytes = ~std::uint64_t{0});
+                              std::uint64_t max_bytes = ~std::uint64_t{0},
+                              std::uint64_t from_bytes = 0);
 
 }  // namespace primelabel
 

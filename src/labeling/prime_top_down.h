@@ -52,6 +52,10 @@ class PrimeTopDownScheme : public LabelingScheme {
              std::vector<std::uint64_t> selves,
              std::vector<LabelFingerprint> fps = {});
 
+  /// Points the scheme at `tree`, a deep copy of the tree it labeled (same
+  /// NodeIds) — how a copied document keeps its scheme off the original.
+  void RebindTree(const XmlTree& tree) { set_tree(tree); }
+
   /// Replaces the self-label of an already-labeled node with a fresh prime
   /// and rederives the labels of its subtree. Used by OrderedPrimeScheme
   /// when a node's global order number outgrows its self-label (order must

@@ -143,6 +143,12 @@ std::string ExecuteRequestLine(QueryService& service, Session& session,
     } else {
       out << " LABELBYTES 0 MODE none EPOCHKIND none";
     }
+    // How the store built the heap views behind the cache's misses: full
+    // rebuilds from disk vs. replays from the previous point's view.
+    const DurableDocumentStore::ViewBuildStats builds =
+        service.store().view_build_stats();
+    out << " VIEWREBUILDS " << builds.rebuilds << " VIEWREPLAYS "
+        << builds.replays;
     return out.str();
   }
 

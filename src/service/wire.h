@@ -62,6 +62,7 @@ struct WireContext {
 ///                                   DEADLINEEXCEEDED <n> IDLEREAPED <n>
 ///                                   DRAINING <0|1> LABELBYTES <n> MODE <m>
 ///                                   EPOCHKIND <full|delta|none>
+///                                   VIEWREBUILDS <n> VIEWREPLAYS <n>
 ///   QUIT                         -> OK BYE (and the connection closes)
 ///
 /// Any request may carry a deadline prefix:

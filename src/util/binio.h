@@ -22,8 +22,12 @@ class ByteWriter {
   std::vector<std::uint8_t> Take() { return std::move(buffer_); }
 
   void Bytes(const void* data, std::size_t size) {
-    const auto* p = static_cast<const std::uint8_t*>(data);
-    buffer_.insert(buffer_.end(), p, p + size);
+    // resize + memcpy rather than a range insert: gcc 12 mis-sizes the
+    // inlined insert of a small stack array (-Wstringop-overflow).
+    if (size == 0) return;
+    const std::size_t at = buffer_.size();
+    buffer_.resize(at + size);
+    std::memcpy(buffer_.data() + at, data, size);
   }
   void U8(std::uint8_t v) { Bytes(&v, 1); }
   void U32(std::uint32_t v) {

@@ -12,8 +12,9 @@
 // writer recorded in DIGEST.txt at write time.
 //
 // Regenerating the fixture (only meaningful from a 32-bit-limb checkout):
-//   PRIMELABEL_WRITE_COMPAT_FIXTURE=1 ./catalog_compat_test \
+//   PRIMELABEL_WRITE_COMPAT_FIXTURE=1 ./catalog_compat_test
 //     --gtest_also_run_disabled_tests --gtest_filter='*WriteFixture*'
+// (one command line).
 
 #include <unistd.h>
 
@@ -238,8 +239,9 @@ TEST(CatalogCompat, RecoveredLabelBytesRoundTrip) {
 // v4 — heap-loaded or arena-mapped — must answer every oracle query with
 // the exact recorded state. Regenerating (any checkout; the formats are
 // limb-width independent):
-//   PRIMELABEL_WRITE_COMPAT_FIXTURE=1 ./catalog_compat_test \
+//   PRIMELABEL_WRITE_COMPAT_FIXTURE=1 ./catalog_compat_test
 //     --gtest_also_run_disabled_tests --gtest_filter='*FormatsFixture*'
+// (one command line).
 
 std::string FormatsDir() {
   return std::string(PRIMELABEL_TEST_DATA_DIR) + "/catalog_formats";

@@ -403,7 +403,9 @@ TEST(PrimeOptimized, LeafExponentThresholdFallsBackToPrimes) {
     EXPECT_TRUE(scheme.IsAncestor(parent, leaf));
     EXPECT_TRUE(scheme.IsAncestor(root, leaf));
     for (NodeId other : leaves) {
-      if (leaf != other) EXPECT_FALSE(scheme.IsAncestor(leaf, other));
+      if (leaf != other) {
+        EXPECT_FALSE(scheme.IsAncestor(leaf, other));
+      }
     }
   }
 }
